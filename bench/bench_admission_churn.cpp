@@ -1,7 +1,7 @@
 // E14 — online admission, departure and live mode changes under churn.
 //
 // Replays the seeded 200-event session trace (ctrl/workload.hpp) against the
-// live control plane (src/ctrl/) under all three cycle-exact steppers and
+// live control plane (src/ctrl/) under both cycle-exact steppers and
 // writes the machine-readable BENCH_admission.json (validated against
 // common/bench_schema.hpp before it is written). The document carries no
 // wall-clock fields: the same --seed produces a bit-identical file for any

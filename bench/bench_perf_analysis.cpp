@@ -140,8 +140,8 @@ void BM_CsdfModelExecution(benchmark::State& state) {
 BENCHMARK(BM_CsdfModelExecution)->Arg(64)->Arg(1024);
 
 /// Simulator speed: cycles/second on a ring + gateway + accelerator system.
-/// Arg = sim::StepperKind (0 dense, 1 global-horizon, 2 wake-list) — the
-/// trio shows the quiescent-skip and selective-ticking wins in isolation.
+/// Arg = sim::StepperKind (0 dense, 1 wake-list) — the pair shows the
+/// quiescent-skip and selective-ticking wins in isolation.
 void BM_SimulatorCyclesPerSecond(benchmark::State& state) {
   const auto kind = static_cast<sim::StepperKind>(state.range(0));
   for (auto _ : state) {
@@ -182,11 +182,7 @@ void BM_SimulatorCyclesPerSecond(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 50000);  // cycles/sec
 }
-BENCHMARK(BM_SimulatorCyclesPerSecond)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->ArgName("stepper");
+BENCHMARK(BM_SimulatorCyclesPerSecond)->Arg(0)->Arg(1)->ArgName("stepper");
 
 /// Kernel data plane (ISSUE 8): per-sample push() vs the SoA
 /// process_block() path on the PAL decoder's three kernels. Arg = block
@@ -289,44 +285,39 @@ void emit_dse_json(int jobs, const std::string& path) {
 }
 
 /// Machine-readable perf trajectory of the SIMULATOR: BENCH_sim.json with
-/// cycles/second of all three steppers — dense, global-horizon ("event")
-/// and wake-list — on the full PAL decoder, plus the outcome digest
-/// proving they agreed. Returns false on a schema violation, a stepper
-/// divergence, a checksum mismatch or an event-driven run that failed to
-/// tick fewer cycles than dense — the `sim_perf` ctest entry (label
-/// "perf") fails on those, never on the speedup itself, so CI stays free
-/// of machine-load flake while still pinning correctness.
+/// cycles/second of both steppers — dense and wake-list — on the full PAL
+/// decoder, plus the outcome digest proving they agreed. Returns false on a
+/// schema violation, a stepper divergence, a checksum mismatch or a
+/// wake-list run that failed to tick fewer cycles than dense — the
+/// `sim_perf` ctest entry (label "perf") fails on those, never on the
+/// speedup itself, so CI stays free of machine-load flake while still
+/// pinning correctness.
 bool emit_sim_json(bool fast, const std::string& path) {
   app::PalSimConfig pal = app::sim_bench_pal_config(fast);
-  // One synthesis serves all three stepper runs (the waveform is a pure
-  // function of the scenario); sim_bench_run keeps it off the wall clock.
+  // One synthesis serves both stepper runs (the waveform is a pure function
+  // of the scenario); sim_bench_run keeps it off the wall clock.
   const std::vector<sim::Flit> input = app::synthesize_pal_input(pal);
   pal.prebuilt_input = &input;
   const app::SimBenchRun dense =
       app::sim_bench_run(pal, sim::StepperKind::kDense);
-  const app::SimBenchRun event =
-      app::sim_bench_run(pal, sim::StepperKind::kGlobalHorizon);
   const app::SimBenchRun wake =
       app::sim_bench_run(pal, sim::StepperKind::kWakeList);
-  const json::Value doc = app::sim_bench_doc(pal, dense, event, wake);
+  const json::Value doc = app::sim_bench_doc(pal, dense, wake);
 
   std::vector<std::string> problems = validate_bench_sim(doc);
-  // Semantic gates beyond the schema: the event-driven steppers must
-  // actually skip (strictly fewer ticked cycles than dense) and the audio
-  // must be bit-identical — both machine-load independent, so safe to
-  // fail CI on.
-  for (const app::SimBenchRun* r : {&event, &wake}) {
-    if (r->dense_ticks >= dense.dense_ticks) {
-      problems.push_back(r->mode + " stepper ticked " +
-                         std::to_string(r->dense_ticks) +
-                         " cycles, expected fewer than dense's " +
-                         std::to_string(dense.dense_ticks));
-    }
-    if (r->audio_checksum != dense.audio_checksum) {
-      problems.push_back("audio checksum mismatch: dense " +
-                         std::to_string(dense.audio_checksum) + " vs " +
-                         r->mode + " " + std::to_string(r->audio_checksum));
-    }
+  // Semantic gates beyond the schema: the wake-list stepper must actually
+  // skip (strictly fewer ticked cycles than dense) and the audio must be
+  // bit-identical — both machine-load independent, so safe to fail CI on.
+  if (wake.dense_ticks >= dense.dense_ticks) {
+    problems.push_back("wake_list stepper ticked " +
+                       std::to_string(wake.dense_ticks) +
+                       " cycles, expected fewer than dense's " +
+                       std::to_string(dense.dense_ticks));
+  }
+  if (wake.audio_checksum != dense.audio_checksum) {
+    problems.push_back("audio checksum mismatch: dense " +
+                       std::to_string(dense.audio_checksum) + " vs wake_list " +
+                       std::to_string(wake.audio_checksum));
   }
   if (!problems.empty()) {
     std::cout << "ERROR: BENCH_sim.json violates its schema:\n";
@@ -352,9 +343,7 @@ bool emit_sim_json(bool fast, const std::string& path) {
               << r.at("skips").as_int() << " jumps, "
               << r.at("component_ticks").as_int() << " component ticks, "
               << r.at("horizon_queries").as_int() << " horizon queries, "
-              << r.at("wakes").as_int() << " wakes, "
-              << r.at("batch_runs").as_int() << " batch runs moving "
-              << r.at("batch_tokens").as_int() << " tokens)\n";
+              << r.at("wakes").as_int() << " wakes)\n";
   }
   std::cout << "  wake_list/dense speedup: ";
   if (doc.at("speedup").is_null())

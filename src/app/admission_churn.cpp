@@ -1,6 +1,7 @@
 #include "app/admission_churn.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -165,8 +166,8 @@ struct Session {
   SessionSink* sink = nullptr;
 };
 
-/// Per-session input: derived from (workload seed, session id) only, so all
-/// three stepper runs feed bit-identical samples.
+/// Per-session input: derived from (workload seed, session id) only, so
+/// both stepper runs feed bit-identical samples.
 std::vector<sim::Flit> session_samples(std::uint64_t seed, std::int32_t id,
                                        std::int64_t count) {
   SplitMix64 rng(seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(id) + 1)));
@@ -396,20 +397,19 @@ ChurnRunResult run_admission_churn(const ChurnConfig& cfg,
 
 ChurnResult run_churn_campaign(const ChurnConfig& cfg) {
   const sim::StepperKind kinds[] = {sim::StepperKind::kDense,
-                                    sim::StepperKind::kGlobalHorizon,
                                     sim::StepperKind::kWakeList};
   ChurnResult res;
-  res.runs.resize(3);
+  res.runs.resize(std::size(kinds));
   const auto run_one = [&](std::size_t i) {
     res.runs[i] = run_admission_churn(cfg, kinds[i]);
   };
   if (cfg.jobs > 1) {
     ThreadPool pool(static_cast<std::size_t>(cfg.jobs));
-    for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t i = 0; i < res.runs.size(); ++i)
       pool.submit([&run_one, i](std::size_t) { run_one(i); });
     pool.wait_idle();
   } else {
-    for (std::size_t i = 0; i < 3; ++i) run_one(i);
+    for (std::size_t i = 0; i < res.runs.size(); ++i) run_one(i);
   }
 
   res.equivalent = true;
@@ -478,7 +478,7 @@ lint::LintInput churn_lint_input(const ChurnConfig& cfg) {
 
 json::Value admission_bench_doc(const ChurnConfig& cfg,
                                 const ChurnResult& res) {
-  ACC_EXPECTS(res.runs.size() == 3);
+  ACC_EXPECTS(res.runs.size() == 2);
   json::Object doc;
   doc["bench"] = "admission_churn";
   doc["seed"] = static_cast<std::int64_t>(cfg.workload.seed);

@@ -10,7 +10,7 @@
 // The campaign is deterministic by construction: the trace, every sample,
 // and every admission decision derive from the seed alone; analysis cost is
 // counted in integer work units (never wall clock); and the same scripted
-// session sequence is replayed under all three cycle-exact steppers, whose
+// session sequence is replayed under both cycle-exact steppers, whose
 // final state digests and audio checksums must agree. The resulting
 // BENCH_admission.json is therefore bit-identical for any --jobs.
 #pragma once
@@ -124,7 +124,7 @@ struct ChurnRunResult {
 };
 
 struct ChurnResult {
-  /// One run per stepper: dense, global-horizon, wake-list (fixed order).
+  /// One run per stepper: dense, wake-list (fixed order).
   std::vector<ChurnRunResult> runs;
   /// All runs produced identical decisions, digests and checksums.
   bool equivalent = false;
@@ -137,7 +137,7 @@ struct ChurnResult {
 [[nodiscard]] ChurnRunResult run_admission_churn(const ChurnConfig& cfg,
                                                  sim::StepperKind stepper);
 
-/// Replay under all three steppers (jobs-parallel) and cross-check.
+/// Replay under both steppers (jobs-parallel) and cross-check.
 [[nodiscard]] ChurnResult run_churn_campaign(const ChurnConfig& cfg);
 
 /// Lintable declaration of the churn configuration: the chain spec with the

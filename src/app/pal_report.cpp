@@ -8,7 +8,6 @@ namespace acc::app {
 const char* stepper_name(sim::StepperKind kind) {
   switch (kind) {
     case sim::StepperKind::kDense: return "dense";
-    case sim::StepperKind::kGlobalHorizon: return "global-horizon";
     case sim::StepperKind::kWakeList: return "wake-list";
   }
   return "unknown";

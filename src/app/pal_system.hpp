@@ -78,9 +78,9 @@ struct PalSimConfig {
   sim::Cycle notify_backoff = 0;
 
   /// Stepper selection: kWakeList (default, incremental wake-list
-  /// scheduler), kGlobalHorizon (all-or-nothing skip) or kDense (legacy
-  /// per-cycle loop). Cycle-exact all three — this switch exists for
-  /// equivalence tests and the E9 dense-vs-event benchmark.
+  /// scheduler) or kDense (reference per-cycle loop). Both are cycle-exact
+  /// — this switch exists for equivalence tests and the E9 dense-vs-wake-
+  /// list benchmark.
   sim::StepperKind stepper = sim::StepperKind::kWakeList;
 
   /// Run acc-lint over the assembled configuration (resolved block sizes,
@@ -94,7 +94,7 @@ struct PalSimConfig {
   /// synthesizing them — exactly what synthesize_pal_input returns for the
   /// same scenario. Lets callers amortize the trig-heavy synthesis across
   /// runs of one scenario: the stepper bench shares a single waveform so
-  /// wall_ms measures the stepper, not three identical sin() sweeps.
+  /// wall_ms measures the stepper, not repeated identical sin() sweeps.
   const std::vector<sim::Flit>* prebuilt_input = nullptr;
 };
 

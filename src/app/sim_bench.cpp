@@ -53,8 +53,6 @@ json::Object run_to_json(const SimBenchRun& r) {
   o["component_ticks"] = r.component_ticks;
   o["horizon_queries"] = r.horizon_queries;
   o["wakes"] = r.wakes;
-  o["batch_runs"] = r.batch_runs;
-  o["batch_tokens"] = r.batch_tokens;
   o["sink_samples"] = r.sink_samples;
   o["source_drops"] = r.source_drops;
   o["sink_underruns"] = r.sink_underruns;
@@ -80,11 +78,11 @@ SimBenchRun sim_bench_run(const PalSimConfig& pal, sim::StepperKind kind) {
   PalSimConfig cfg = pal;
   cfg.stepper = kind;
 
-  // The input waveform is a pure function of the scenario, identical across
-  // the three stepper modes; synthesizing it is trig-heavy (one sin/cos per
+  // The input waveform is a pure function of the scenario, identical under
+  // both steppers; synthesizing it is trig-heavy (one sin/cos per
   // front-end sample). Keep it outside the timed region so wall_ms measures
-  // the stepper under comparison, not three renderings of the same signal.
-  // Callers that pre-set prebuilt_input amortize it across all modes.
+  // the stepper under comparison, not a rendering of the signal. Callers
+  // that pre-set prebuilt_input amortize it across both modes.
   std::vector<sim::Flit> input;
   if (cfg.prebuilt_input == nullptr) {
     input = synthesize_pal_input(cfg);
@@ -96,17 +94,7 @@ SimBenchRun sim_bench_run(const PalSimConfig& pal, sim::StepperKind kind) {
   const auto t1 = std::chrono::steady_clock::now();
 
   SimBenchRun r;
-  switch (kind) {
-    case sim::StepperKind::kDense:
-      r.mode = "dense";
-      break;
-    case sim::StepperKind::kGlobalHorizon:
-      r.mode = "event";
-      break;
-    default:
-      r.mode = "wake_list";
-      break;
-  }
+  r.mode = kind == sim::StepperKind::kDense ? "dense" : "wake_list";
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.cycles = res.cycles_run;
   // NaN marks "wall clock below resolution" — serialized as null.
@@ -119,8 +107,6 @@ SimBenchRun sim_bench_run(const PalSimConfig& pal, sim::StepperKind kind) {
   r.component_ticks = res.stepper.component_ticks;
   r.horizon_queries = res.stepper.horizon_queries;
   r.wakes = res.stepper.wakes;
-  r.batch_runs = res.stepper.batch_runs;
-  r.batch_tokens = res.stepper.batch_tokens;
   r.sink_samples = static_cast<std::int64_t>(res.left.size() +
                                              res.right.size());
   r.source_drops = res.source_drops;
@@ -131,7 +117,7 @@ SimBenchRun sim_bench_run(const PalSimConfig& pal, sim::StepperKind kind) {
 }
 
 json::Value sim_bench_doc(const PalSimConfig& pal, const SimBenchRun& dense,
-                          const SimBenchRun& event, const SimBenchRun& wake) {
+                          const SimBenchRun& wake) {
   json::Object workload;
   workload["input_samples"] = static_cast<std::int64_t>(pal.input_samples);
   workload["input_period"] = static_cast<std::int64_t>(pal.input_period);
@@ -139,7 +125,6 @@ json::Value sim_bench_doc(const PalSimConfig& pal, const SimBenchRun& dense,
 
   json::Array runs;
   runs.emplace_back(run_to_json(dense));
-  runs.emplace_back(run_to_json(event));
   runs.emplace_back(run_to_json(wake));
 
   json::Object doc;
@@ -153,8 +138,7 @@ json::Value sim_bench_doc(const PalSimConfig& pal, const SimBenchRun& dense,
     doc["speedup"] = wake.cycles_per_sec / dense.cycles_per_sec;
   else
     doc["speedup"] = nullptr;
-  doc["equivalent"] =
-      dense.same_outcome(event) && dense.same_outcome(wake);
+  doc["equivalent"] = dense.same_outcome(wake);
   return json::Value(std::move(doc));
 }
 

@@ -1,13 +1,13 @@
 // Simulator perf-trajectory workload and its BENCH_sim.json document.
 //
-// E9 (bench_perf_analysis) measures the PAL stereo decoder under BOTH
-// steppers — the legacy dense loop and the event-horizon core — and writes
+// E9 (bench_perf_analysis) measures the PAL stereo decoder under both
+// steppers — the dense reference loop and the wake-list core — and writes
 // cycles/second plus the skip statistics to BENCH_sim.json, the repo's
-// simulator perf baseline (later PRs have a trajectory to beat). The
-// workload and document builder live here, not inside the bench binary, so
-// the golden-schema tests (tests/sharing/bench_schema_test.cpp) exercise
-// the exact code the bench ships, on a workload scaled down to test size.
-// See docs/performance.md.
+// simulator perf baseline. The workload and document builder live here,
+// not inside the bench binary, so the golden-schema tests
+// (tests/sharing/bench_schema_test.cpp) and the drift gate on the
+// committed document (tests/app/bench_sim_drift_test.cpp) exercise the
+// exact code the bench ships. See docs/performance.md.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,7 @@ namespace acc::app {
 /// audio and verdicts — the cross-stepper equivalence check the bench and
 /// the perf ctest both enforce.
 struct SimBenchRun {
-  std::string mode;  // "dense" | "event" | "wake_list"
+  std::string mode;  // "dense" | "wake_list"
   double wall_ms = 0.0;
   std::int64_t cycles = 0;  // simulated cycles
   // Simulated cycles per wall second; NaN when the wall clock rounded to
@@ -37,16 +37,11 @@ struct SimBenchRun {
   std::int64_t dense_ticks = 0;  // cycles actually ticked
   std::int64_t skips = 0;
   std::int64_t skipped_cycles = 0;
-  // Wake-list instrumentation (all steppers fill these; the dense loop has
+  // Wake-list instrumentation (both steppers fill these; the dense loop has
   // zero horizon queries and zero wakes by construction).
   std::int64_t component_ticks = 0;   // Component::tick calls
   std::int64_t horizon_queries = 0;   // next_event consultations
   std::int64_t wakes = 0;             // wake notifications delivered
-  // Batched data plane (ISSUE 8): granted runs executed at virtual cycles
-  // and the tokens/invocations they moved. Zero under dense/event by
-  // construction — only the wake-list stepper issues grants.
-  std::int64_t batch_runs = 0;
-  std::int64_t batch_tokens = 0;
   // Outcome digest.
   std::int64_t sink_samples = 0;
   std::int64_t source_drops = 0;
@@ -63,19 +58,18 @@ struct SimBenchRun {
 };
 
 /// Run the decoder once under the chosen stepper and measure it. The run's
-/// `mode` string names the stepper: "dense" (kDense), "event"
-/// (kGlobalHorizon) or "wake_list" (kWakeList, the shipping default).
+/// `mode` string names the stepper: "dense" (kDense) or "wake_list"
+/// (kWakeList, the shipping default).
 [[nodiscard]] SimBenchRun sim_bench_run(const PalSimConfig& pal,
                                         sim::StepperKind kind);
 
 /// Assemble the BENCH_sim.json document:
-/// {bench: "sim", workload: {...}, runs: [dense, event, wake_list],
-/// speedup, equivalent}. `speedup` compares the wake-list run against
+/// {bench: "sim", workload: {...}, runs: [dense, wake_list], speedup,
+/// equivalent}. `speedup` compares the wake-list run against
 /// dense and is null when either wall clock rounded to zero. Validated by
 /// common/bench_schema.hpp.
 [[nodiscard]] json::Value sim_bench_doc(const PalSimConfig& pal,
                                         const SimBenchRun& dense,
-                                        const SimBenchRun& event,
                                         const SimBenchRun& wake);
 
 }  // namespace acc::app

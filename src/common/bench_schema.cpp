@@ -178,16 +178,16 @@ std::vector<std::string> validate_bench_sim(const json::Value& doc) {
       require(doc, "$", "runs", Kind::kArray, &problems);
   if (runs != nullptr) {
     // One row per stepper, in the fixed order the doc builder emits.
-    static const char* kModes[] = {"dense", "event", "wake_list"};
-    if (runs->as_array().size() != 3)
+    static const char* kModes[] = {"dense", "wake_list"};
+    if (runs->as_array().size() != 2)
       problems.push_back(
-          "$.runs: expected exactly three runs (dense, event, wake_list)");
+          "$.runs: expected exactly two runs (dense, wake_list)");
     for (std::size_t i = 0; i < runs->as_array().size(); ++i) {
       const std::string path = "$.runs[" + std::to_string(i) + "]";
       const json::Value& run = runs->as_array()[i];
       const json::Value* mode =
           require(run, path, "mode", Kind::kString, &problems);
-      if (mode != nullptr && i < 3 && mode->as_string() != kModes[i])
+      if (mode != nullptr && i < 2 && mode->as_string() != kModes[i])
         problems.push_back(path + ".mode: expected \"" +
                            std::string(kModes[i]) + "\"");
       require_all(run, path,
@@ -200,8 +200,6 @@ std::vector<std::string> validate_bench_sim(const json::Value& doc) {
                    {"component_ticks", Kind::kInt},
                    {"horizon_queries", Kind::kInt},
                    {"wakes", Kind::kInt},
-                   {"batch_runs", Kind::kInt},
-                   {"batch_tokens", Kind::kInt},
                    {"sink_samples", Kind::kInt},
                    {"source_drops", Kind::kInt},
                    {"sink_underruns", Kind::kInt},
@@ -284,17 +282,16 @@ std::vector<std::string> validate_bench_admission(const json::Value& doc) {
       require(doc, "$", "steppers", Kind::kArray, &problems);
   if (steppers != nullptr) {
     // One row per stepper, in the fixed order the doc builder emits.
-    static const char* kSteppers[] = {"dense", "global-horizon", "wake-list"};
-    if (steppers->as_array().size() != 3)
+    static const char* kSteppers[] = {"dense", "wake-list"};
+    if (steppers->as_array().size() != 2)
       problems.push_back(
-          "$.steppers: expected exactly three runs (dense, global-horizon, "
-          "wake-list)");
+          "$.steppers: expected exactly two runs (dense, wake-list)");
     for (std::size_t i = 0; i < steppers->as_array().size(); ++i) {
       const std::string path = "$.steppers[" + std::to_string(i) + "]";
       const json::Value& run = steppers->as_array()[i];
       const json::Value* mode =
           require(run, path, "stepper", Kind::kString, &problems);
-      if (mode != nullptr && i < 3 && mode->as_string() != kSteppers[i])
+      if (mode != nullptr && i < 2 && mode->as_string() != kSteppers[i])
         problems.push_back(path + ".stepper: expected \"" +
                            std::string(kSteppers[i]) + "\"");
       require_all(run, path,
@@ -385,10 +382,8 @@ std::vector<std::string> validate_run_report(const json::Value& doc) {
   const json::Value* stepper =
       require(doc, "$", "stepper", Kind::kString, &problems);
   if (stepper != nullptr && stepper->as_string() != "dense" &&
-      stepper->as_string() != "global-horizon" &&
       stepper->as_string() != "wake-list")
-    problems.push_back(
-        "$.stepper: expected \"dense\", \"global-horizon\" or \"wake-list\"");
+    problems.push_back("$.stepper: expected \"dense\" or \"wake-list\"");
   (void)require(doc, "$", "verdict", Kind::kObject, &problems);
 
   const json::Value* streams =

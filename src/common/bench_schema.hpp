@@ -22,17 +22,17 @@ namespace acc {
 
 /// Validate a BENCH_sim.json document (see app/sim_bench.hpp). Beyond key
 /// presence/kinds this also enforces the semantic invariants every valid
-/// run must satisfy: runs[] holds exactly a "dense" and an "event" entry,
-/// and $.equivalent is true (the steppers are cycle-exact by contract — a
-/// document recording a divergence is itself malformed).
+/// run must satisfy: runs[] holds exactly a "dense" and a "wake_list" row,
+/// in that order, and $.equivalent is true (the steppers are cycle-exact
+/// by contract — a document recording a divergence is itself malformed).
 [[nodiscard]] std::vector<std::string> validate_bench_sim(
     const json::Value& doc);
 
 /// Validate a BENCH_admission.json document (see app/admission_churn.hpp).
 /// Beyond key presence/kinds this enforces the control-plane invariants a
-/// valid campaign must satisfy: steppers[] holds exactly a "dense", a
-/// "global-horizon" and a "wake-list" row, $.equivalent is true, and the
-/// summary's accept/reject split sums to the join count.
+/// valid campaign must satisfy: steppers[] holds exactly a "dense" and a
+/// "wake-list" row, $.equivalent is true, and the summary's accept/reject
+/// split sums to the join count.
 [[nodiscard]] std::vector<std::string> validate_bench_admission(
     const json::Value& doc);
 

@@ -11,9 +11,9 @@
 //
 // Determinism contract: every update is driven by a simulation EVENT (a
 // push, a pop, an injection, an admission, a fault trigger), never by "one
-// tick happened". Events occur at identical cycles under all three steppers
-// (kDense / kGlobalHorizon / kWakeList) — that is the equivalence property
-// the stepper suite proves — so a snapshot of the registry is bit-identical
+// tick happened". Events occur at identical cycles under both steppers
+// (kDense / kWakeList) — that is the equivalence property the stepper
+// suite proves — so a snapshot of the registry is bit-identical
 // across steppers and, because each simulation owns its registry, across
 // --jobs values. tests/obs/metrics_equivalence_test.cpp locks this down.
 #pragma once

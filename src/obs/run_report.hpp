@@ -66,7 +66,7 @@ struct RunReportInput {
   std::vector<RunReportStream> streams;
   RunReportAdmissions admissions;
   std::int64_t cycles_run = 0;
-  std::string stepper;  // "dense" | "global-horizon" | "wake-list"
+  std::string stepper;  // "dense" | "wake-list"
 };
 
 /// Assemble the report document. `metrics` embeds the registry snapshot

@@ -135,46 +135,6 @@ Flit CFifo::pop(Cycle now) {
   return f;
 }
 
-std::size_t CFifo::push_run(Cycle base, Cycle stride,
-                            std::span<const Flit> flits,
-                            const Component* self) {
-  std::size_t n = 0;
-  for (const Flit f : flits) {
-    const Cycle vt = base + stride * static_cast<Cycle>(n);
-    // First token: the caller vouches for its legality (usually it is the
-    // mid-tick operation at the real current cycle). Later tokens: re-read
-    // the grant — a watcher woken by a previous push in this very run may
-    // have collapsed it — and require a read lag (see read_lag()).
-    if (n > 0 && (rlag_ < 1 || self == nullptr ||
-                  vt >= self->batch_quiet_until()))
-      break;
-    if (!can_push(vt)) break;
-    push(vt, f);
-    ++n;
-  }
-  note_run(n);
-  return n;
-}
-
-std::size_t CFifo::pop_run(Cycle base, Cycle stride, std::size_t max_tokens,
-                           std::vector<Flit>* out, std::vector<Cycle>* stamps,
-                           const Component* self) {
-  std::size_t n = 0;
-  while (n < max_tokens) {
-    const Cycle vt = base + stride * static_cast<Cycle>(n);
-    if (n > 0 && (wlag_ < 1 || self == nullptr ||
-                  vt >= self->batch_quiet_until()))
-      break;
-    if (!can_pop(vt)) break;
-    const Flit f = pop(vt);
-    if (out != nullptr) out->push_back(f);
-    if (stamps != nullptr) stamps->push_back(vt);
-    ++n;
-  }
-  note_run(n);
-  return n;
-}
-
 void CFifo::set_capacity(std::int64_t capacity) {
   ACC_EXPECTS(capacity >= 1);
   ACC_EXPECTS_MSG(capacity >= static_cast<std::int64_t>(data_.size()) +

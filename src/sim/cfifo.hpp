@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +22,6 @@
 #include "sim/flit.hpp"
 #include "sim/ring.hpp"
 #include "sim/state_hash.hpp"
-#include "sim/stepper_stats.hpp"
 
 namespace acc::sim {
 
@@ -60,28 +58,6 @@ class CFifo {
   [[nodiscard]] Flit front(Cycle now) const;
   Flit pop(Cycle now);
 
-  /// Batched writer-side transfer (ISSUE 8): push flits at virtual cycles
-  /// base, base + stride, base + 2*stride, ... as one granted run. Stops
-  /// before the first token whose virtual cycle is no longer covered by
-  /// `self`'s batching grant (wakes raised by earlier pushes in this very
-  /// run collapse the grant — the abort rule) or for which no space is
-  /// visible. Returns the number pushed. Per-token accounting — visibility
-  /// deadlines, credit retirement, metrics, watcher wakes — replays exactly
-  /// what individual push() calls at those cycles would have done, so the
-  /// run is bit-invisible to every observer. Records a StepperStats batch
-  /// run when >= 2 tokens move (callers must not double-count it).
-  std::size_t push_run(Cycle base, Cycle stride, std::span<const Flit> flits,
-                       const Component* self);
-
-  /// Batched reader-side transfer: pop up to `max_tokens` at virtual cycles
-  /// base, base + stride, ... under the same grant / abort discipline as
-  /// push_run. Each popped flit is appended to `out` and its virtual pop
-  /// cycle to `stamps` (either may be null). Stops at the first virtual
-  /// cycle with nothing visible to pop. Returns the number popped.
-  std::size_t pop_run(Cycle base, Cycle stride, std::size_t max_tokens,
-                      std::vector<Flit>* out, std::vector<Cycle>* stamps,
-                      const Component* self);
-
   /// Ground-truth occupancy (stats/assertions, not visible to either side).
   [[nodiscard]] std::int64_t true_fill() const {
     return static_cast<std::int64_t>(data_.size());
@@ -97,14 +73,6 @@ class CFifo {
   /// histogram keeps its construction-time bucket bounds.
   void set_capacity(std::int64_t capacity);
   [[nodiscard]] const std::string& name() const { return name_; }
-  /// Visibility lags (static configuration). Batched transfers require a
-  /// lag of >= 1 on the side they mutate: with a zero lag an observer can
-  /// see an operation in the SAME cycle it happens, making the outcome
-  /// depend on within-cycle component order — context a virtual-time
-  /// operation no longer has. With lag >= 1 every observation is at least
-  /// one cycle late and ordering is irrelevant.
-  [[nodiscard]] Cycle read_lag() const { return rlag_; }
-  [[nodiscard]] Cycle write_lag() const { return wlag_; }
 
   /// Lifetime counters (stats).
   [[nodiscard]] std::int64_t total_pushed() const { return pushed_; }
@@ -141,10 +109,6 @@ class CFifo {
     freed_.set_arena(arena);
   }
 
-  /// Installed by System::add_fifo so push_run / pop_run report granted
-  /// runs into the owning stepper's counters. Null for standalone FIFOs.
-  void set_stepper_stats(StepperStats* stats) { stepper_stats_ = stats; }
-
   /// Canonical state snapshot (see sim/state_hash.hpp): queue contents and
   /// visibility deadlines are frozen protocol state; the lifetime counters
   /// (pushed_/popped_/peak_) are excluded by contract.
@@ -168,13 +132,6 @@ class CFifo {
   /// prefix). Deadlines are monotone, so this is a binary search.
   [[nodiscard]] std::int64_t visible_data_prefix(Cycle now) const;
 
-  void note_run(std::size_t tokens) {
-    if (tokens >= 2 && stepper_stats_ != nullptr) {
-      ++stepper_stats_->batch_runs;
-      stepper_stats_->batch_tokens += static_cast<std::int64_t>(tokens);
-    }
-  }
-
   std::string name_;
   std::int64_t capacity_;
   Cycle rlag_;
@@ -183,7 +140,6 @@ class CFifo {
   RingBuffer<Entry> data_;   // (visible-to-reader-at, flit)
   RingBuffer<Cycle> freed_;  // space visible-to-writer-at
   FaultInjector* fault_ = nullptr;
-  StepperStats* stepper_stats_ = nullptr;
   std::vector<Component*> push_watchers_;
   std::vector<Component*> pop_watchers_;
   std::int64_t pushed_ = 0;

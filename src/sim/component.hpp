@@ -3,7 +3,6 @@
 
 #include "sim/ring.hpp"
 #include "sim/state_hash.hpp"
-#include "sim/stepper_stats.hpp"
 #include "sim/wake.hpp"
 
 namespace acc::sim {
@@ -50,8 +49,7 @@ class Component {
   /// component's next_event() depends on is covered by a wake notification
   /// (C-FIFO watcher, ring delivery, direct callback), so a cached horizon
   /// can never go stale-late. Components that cannot promise that return
-  /// false and are re-queried every active cycle instead (exact, slower —
-  /// the global-horizon treatment).
+  /// false and are re-queried every active cycle instead (exact, slower).
   [[nodiscard]] virtual bool wake_list_safe() const { return true; }
 
   /// True when skip_to() replays FROZEN-channel state — state that
@@ -69,9 +67,9 @@ class Component {
   [[nodiscard]] virtual std::int32_t ring_node() const { return -1; }
 
   /// Installed by System::run's wake-list preparation; null under the
-  /// dense / global-horizon steppers and in standalone unit tests. The
-  /// slot index keys this component's calendar entry so wake delivery is a
-  /// direct array access instead of a map lookup.
+  /// dense stepper and in standalone unit tests. The slot index keys this
+  /// component's calendar entry so wake delivery is a direct array access
+  /// instead of a map lookup.
   void set_wake_hub(WakeHub* hub, std::size_t slot = 0) {
     hub_ = hub;
     wake_slot_ = slot;
@@ -85,35 +83,8 @@ class Component {
     if (hub_ != nullptr) hub_->wake(*this);
   }
 
-  /// Installed by System::add so batched transfers report into the owning
-  /// stepper's counters. Null for standalone components (unit tests).
-  void set_stepper_stats(StepperStats* stats) { stepper_stats_ = stats; }
-
-  /// Batched-data-plane grant (ISSUE 8): the earliest cycle at which any
-  /// OTHER unit is scheduled to act. While mid-tick, this component may
-  /// execute operations at virtual cycles strictly below the returned
-  /// bound as one run; the bound must be re-read after every operation
-  /// (wakes raised by the run itself collapse it). 0 without a hub or
-  /// outside an active wake-list cycle — batching simply never triggers
-  /// under the dense and global-horizon steppers. Public so CFifo::push_run
-  /// / pop_run can re-check the grant between tokens on the component's
-  /// behalf; it is a pure query with no side effects.
-  [[nodiscard]] Cycle batch_quiet_until() const {
-    return hub_ == nullptr ? 0 : hub_->quiet_until(wake_slot_);
-  }
-
  protected:
-
-  /// Record a granted run of `tokens` operations (>= 2) in StepperStats.
-  void note_batch_run(std::int64_t tokens) {
-    if (stepper_stats_ != nullptr) {
-      ++stepper_stats_->batch_runs;
-      stepper_stats_->batch_tokens += tokens;
-    }
-  }
-
   WakeHub* hub_ = nullptr;
-  StepperStats* stepper_stats_ = nullptr;
 
  private:
   std::size_t wake_slot_ = 0;

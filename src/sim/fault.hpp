@@ -123,7 +123,7 @@ class FaultInjector {
   /// Wake-list plumbing (see sim/wake.hpp): every delay() trigger moves
   /// the site's quiet window, which shifts horizons derived from
   /// next_eligible — report it so cached horizons get re-derived. Null
-  /// (the default) under the dense / global-horizon steppers.
+  /// (the default) until a wake-list run installs it.
   void set_wake_hub(WakeHub* hub) { hub_ = hub; }
 
   /// Opt-in metrics: fault.<site>.{consults,injected,dropped,delay_cycles}

@@ -1,8 +1,6 @@
 #include "sim/proc_tile.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <span>
 
 #include "common/rng.hpp"
 
@@ -22,17 +20,6 @@ void ProcessorTile::add_task(Task t) {
   // Wake-list contract: the hint's C-FIFO dependencies wake this tile.
   for (CFifo* f : t.wake_on_push) f->add_push_watcher(this);
   for (CFifo* f : t.wake_on_pop) f->add_pop_watcher(this);
-  // Batched invocation preconditions: replaying invoke() at virtual cycles
-  // needs the hinted-task contract (probes that return 0 are side-effect
-  // free), and every FIFO the task touches must observe with a lag >= 1 so
-  // within-cycle ordering cannot matter (see CFifo::read_lag). A task pops
-  // the FIFOs whose fill it waits on (their pops surface via write lag) and
-  // pushes the ones whose space it waits on (via read lag).
-  if (!t.next_ready) batch_capable_ = false;
-  for (CFifo* f : t.wake_on_push)
-    if (f->write_lag() < 1) batch_capable_ = false;
-  for (CFifo* f : t.wake_on_pop)
-    if (f->read_lag() < 1) batch_capable_ = false;
   tasks_.push_back(std::move(t));
 }
 
@@ -58,7 +45,17 @@ void ProcessorTile::set_metrics(obs::MetricsRegistry* registry) {
   m_busy_ = obs::make_counter(registry, p + ".busy_cycles");
 }
 
-bool ProcessorTile::attempt_invocation(Cycle t) {
+void ProcessorTile::tick(Cycle now) {
+  if (tasks_.empty()) return;
+  if (now >= next_replenish_) {
+    for (std::size_t i = 0; i < tasks_.size(); ++i)
+      budget_left_[i] = tasks_[i].budget;
+    next_replenish_ = now + period_;
+  }
+  if (now < busy_until_) {
+    ++busy_cycles_;
+    return;
+  }
   // Candidate order: round-robin rotation, or strict priority (stable by
   // registration order within a priority level). Only tasks still holding
   // budget are eligible — budget exhaustion suspends a task until the next
@@ -77,57 +74,18 @@ bool ProcessorTile::attempt_invocation(Cycle t) {
   }
   for (const std::size_t idx : order_) {
     if (budget_left_[idx] <= 0) continue;
-    const Cycle cost = tasks_[idx].invoke(t);
+    const Cycle cost = tasks_[idx].invoke(now);
     if (cost > 0) {
       budget_left_[idx] -= cost;
-      busy_until_ = t + cost;
+      busy_until_ = now + cost;
+      ++busy_cycles_;
       ++invocations_[idx];
       m_invocations_.add();
       m_busy_.add(cost);
       current_ = (idx + 1) % tasks_.size();
-      return true;
+      return;
     }
   }
-  return false;
-}
-
-void ProcessorTile::tick(Cycle now) {
-  if (tasks_.empty()) return;
-  if (now >= next_replenish_) {
-    for (std::size_t i = 0; i < tasks_.size(); ++i)
-      budget_left_[i] = tasks_[i].budget;
-    next_replenish_ = now + period_;
-  }
-  if (now < busy_until_) {
-    ++busy_cycles_;
-    return;
-  }
-  if (!attempt_invocation(now)) return;
-  ++busy_cycles_;  // the invocation cycle itself, as dense counts it
-  if (!batch_capable_) return;
-  // Batched continuation (ISSUE 8): while the wake hub certifies every
-  // other component sleeps past the cycle where this invocation completes,
-  // the next scheduling decision is already determined — run it now at its
-  // virtual cycle instead of waking up again. Each iteration replays the
-  // replenishment grid up to the virtual cycle, re-reads the grant (our
-  // own FIFO traffic may have collapsed it), and charges budgets, counters
-  // and metrics exactly as a dense tick at that cycle would. busy_cycles_
-  // is deliberately untouched: the virtual invocation cycles all lie
-  // strictly below the final busy_until_, so the stepper's later skip_to
-  // replay accounts every one of them exactly once.
-  std::int64_t extra = 0;
-  for (;;) {
-    const Cycle vt = busy_until_;
-    if (batch_quiet_until() <= vt) break;
-    while (next_replenish_ <= vt) {
-      for (std::size_t i = 0; i < tasks_.size(); ++i)
-        budget_left_[i] = tasks_[i].budget;
-      next_replenish_ += period_;
-    }
-    if (!attempt_invocation(vt)) break;
-    ++extra;
-  }
-  if (extra > 0) note_batch_run(extra + 1);
 }
 
 Cycle ProcessorTile::next_event(Cycle now) const {
@@ -184,26 +142,6 @@ void SourceTile::set_jitter(Cycle max_jitter, std::uint64_t seed) {
 
 void SourceTile::tick(Cycle now) {
   if (next_ >= samples_.size() || now < next_emit_) return;
-  // Batched emission (ISSUE 8): on the jitter-free grid the upcoming
-  // release times are now, now + period, now + 2*period, ... — exactly a
-  // push_run. The run self-limits to the batching grant, the FIFO's
-  // visible space and its read lag, so under the dense and global-horizon
-  // steppers (no grant) it degenerates to the single scalar push. Jittered
-  // sources stay scalar: each release consumes an RNG draw whose order the
-  // grid cannot reproduce.
-  if (max_jitter_ == 0 && now == next_emit_) {
-    const std::span<const Flit> rest(samples_.data() + next_,
-                                     samples_.size() - next_);
-    const std::size_t k = out_.push_run(now, period_, rest, this);
-    if (k > 0) {
-      next_ += k;
-      emitted_ += static_cast<std::int64_t>(k);
-      m_emitted_.add(static_cast<std::int64_t>(k));
-      next_emit_ = nominal_emit_time(next_);
-      return;
-    }
-    // k == 0: no space visible at `now` — fall through to the drop path.
-  }
   // Hard real-time: the sample leaves the antenna now; it either fits in
   // the FIFO or it is gone.
   if (out_.can_push(now)) {
@@ -264,24 +202,6 @@ void SinkTile::tick(Cycle now) {
     m_underruns_.add();
   }
   next_due_ += period_;
-  // Batched continuation (ISSUE 8): drain every future DAC deadline the
-  // batching grant covers in one pop_run. The first virtual pop is at
-  // next_due_ (strictly ahead of `now` unless we are catching up late, in
-  // which case the grid stays per-cycle), checked against the grant here
-  // because pop_run only re-checks from the second token on. A write lag
-  // of zero would let the producer see a virtual pop in its own cycle, so
-  // such FIFOs never batch. If the run stops early (nothing visible), the
-  // next real tick at next_due_ counts the underrun exactly as dense does.
-  const Cycle vt = next_due_;
-  if (vt <= now || in_.write_lag() < 1) return;
-  if (vt >= batch_quiet_until()) return;
-  const std::size_t k =
-      in_.pop_run(vt, period_, std::numeric_limits<std::size_t>::max(),
-                  &received_, &timestamps_, this);
-  if (k > 0) {
-    m_received_.add(static_cast<std::int64_t>(k));
-    next_due_ += period_ * static_cast<Cycle>(k);
-  }
 }
 
 void SinkTile::set_metrics(obs::MetricsRegistry* registry) {

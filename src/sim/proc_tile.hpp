@@ -108,21 +108,10 @@ class ProcessorTile final : public Component {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
-  /// One scheduling decision at cycle `t`: build the candidate order and
-  /// try tasks until one invocation lands (sets busy_until_, budgets,
-  /// invocation counters/metrics). Returns whether an invocation started.
-  /// Does NOT touch busy_cycles_ — the caller accounts the cycle (dense
-  /// tick) or leaves it to the skip_to replay (batched virtual cycles).
-  bool attempt_invocation(Cycle t);
-
   std::string name_;
   Cycle period_;
   SchedulerPolicy policy_;
   std::vector<Task> tasks_;
-  // True when every task is hinted (invoke side-effect free on 0) and all
-  // declared wake FIFOs carry visibility lags >= 1 — the preconditions for
-  // replaying invocations at granted virtual cycles (see tick()).
-  bool batch_capable_ = true;
   std::vector<Cycle> budget_left_;
   std::vector<std::int64_t> invocations_;
   std::vector<std::size_t> order_;  // reusable scan buffer (hot path)

@@ -112,7 +112,7 @@ class Ring {
 
   /// Wake-list plumbing (see sim/wake.hpp): report injections and
   /// ejections so the scheduler can wake the ring and the draining tiles.
-  /// Null (the default) under the dense / global-horizon steppers.
+  /// Null (the default) until a wake-list run installs it.
   void set_wake_hub(WakeHub* hub) { hub_ = hub; }
 
   /// Back the injection queues with a per-System arena (see common/
@@ -143,7 +143,7 @@ class Ring {
   /// whose rotation lands the nearest message on its destination — the
   /// intermediate hop cycles only accrue the hops metric, which skip_to
   /// replays exactly. kNeverCycle when nothing will ever happen again.
-  /// Inline: the steppers consult it after every ring tick.
+  /// Inline: the wake-list stepper consults it after every ring tick.
   [[nodiscard]] Cycle next_event() const {
     if (queued_ > 0 || (fault_ != nullptr && occupied_ > 0)) {
       // Pickups happen on the very next non-stalled tick, and a fault

@@ -7,8 +7,7 @@
 // gateway's pipeline-idle callback, a fault-injector trigger) reports the
 // interaction through this interface so a frozen component can never miss
 // input. The System implements the hub; passive objects hold a nullable
-// pointer, so the dense and global-horizon steppers (which never install a
-// hub) are entirely unaffected.
+// pointer, and the dense stepper ignores every notification.
 //
 // Safety rule the hub relies on (see docs/performance.md): scheduling a
 // component EARLIER than necessary is always exact — an extra tick is dense
@@ -17,7 +16,6 @@
 // horizon mid-cycle.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace acc::sim {
@@ -43,22 +41,6 @@ class WakeHub {
   /// A fault trigger moved `site`'s quiet window: horizons derived from
   /// FaultInjector::next_eligible(site) may have shifted (either way).
   virtual void fault_site_changed(FaultSite site) = 0;
-
-  /// Batched-data-plane grant (ISSUE 8; see docs/performance.md): the
-  /// earliest cycle at which any unit OTHER than the component occupying
-  /// `self_slot` is scheduled to act, clamped to the end of the current
-  /// run. A component that is mid-tick may execute operations at virtual
-  /// cycles STRICTLY BELOW this bound as one batched run: the calendar
-  /// proves nobody else can observe or perturb the interleaving. The bound
-  /// is re-evaluated after every batched operation — any wake raised by
-  /// the run itself (a watcher on a touched C-FIFO) collapses it, which is
-  /// the abort rule that keeps batching bit-exact against dense stepping.
-  /// Returns 0 ("no grant") outside an active wake-list cycle; the default
-  /// keeps every other WakeHub implementation batch-free.
-  [[nodiscard]] virtual std::int64_t quiet_until(std::size_t self_slot) const {
-    (void)self_slot;
-    return 0;
-  }
 };
 
 }  // namespace acc::sim

@@ -105,7 +105,10 @@ void Runner::apply(const Action& a) {
 
 void Runner::advance(sim::Cycle cycles) {
   try {
-    model_.sys.run_global_horizon(cycles);
+    // Dense stepping is the reference semantics: a mutated model whose
+    // horizons lie (lying_horizon) can neither hide a violation nor invent
+    // one through a skipped cycle.
+    model_.sys.run_dense(cycles);
   } catch (const acc::precondition_error& e) {
     if (model_.ms.has(Mutation::kMidRoundReconfig)) {
       // The seeded rogue agent reconfigures without quiescing; the tile's

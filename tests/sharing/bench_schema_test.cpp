@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "app/admission_churn.hpp"
 #include "app/fault_campaign.hpp"
 #include "app/sim_bench.hpp"
@@ -85,11 +87,9 @@ json::Value small_sim_doc() {
   pal.input_samples = 1 << 10;  // test-size, even smaller than --sim-fast
   const app::SimBenchRun dense =
       app::sim_bench_run(pal, sim::StepperKind::kDense);
-  const app::SimBenchRun event =
-      app::sim_bench_run(pal, sim::StepperKind::kGlobalHorizon);
   const app::SimBenchRun wake =
       app::sim_bench_run(pal, sim::StepperKind::kWakeList);
-  return app::sim_bench_doc(pal, dense, event, wake);
+  return app::sim_bench_doc(pal, dense, wake);
 }
 
 TEST(BenchSchema, SimDocFromBenchCodeValidates) {
@@ -106,11 +106,9 @@ TEST(BenchSchema, SimDocDetectsMissingRunKey) {
 }
 
 TEST(BenchSchema, SimDocDetectsMissingWakeCounters) {
-  // The wake-list instrumentation (ISSUE 6 satellite) and the batched data
-  // plane counters (ISSUE 8) are part of the golden schema: dropping any of
-  // them is a breach.
-  for (const char* key : {"component_ticks", "horizon_queries", "wakes",
-                          "batch_runs", "batch_tokens"}) {
+  // The wake-list instrumentation (ISSUE 6 satellite) is part of the
+  // golden schema: dropping any of it is a breach.
+  for (const char* key : {"component_ticks", "horizon_queries", "wakes"}) {
     json::Value doc = small_sim_doc();
     doc.as_object()["runs"].as_array()[1].as_object().erase(key);
     const std::vector<std::string> problems = validate_bench_sim(doc);
@@ -132,7 +130,7 @@ TEST(BenchSchema, SimDocDetectsWrongMode) {
 }
 
 TEST(BenchSchema, SimDocDetectsDivergence) {
-  // A doc recording a dense/event divergence is malformed by definition:
+  // A doc recording a dense/wake-list divergence is malformed by definition:
   // the steppers are contractually cycle-exact.
   json::Value doc = small_sim_doc();
   doc.as_object()["equivalent"] = false;
@@ -145,7 +143,7 @@ TEST(BenchSchema, SimDocAcceptsNullRates) {
   // A --sim-fast run can complete below the wall clock's resolution; the
   // rate fields are then null rather than 0 or inf (ISSUE 8 satellite).
   json::Value doc = small_sim_doc();
-  doc.as_object()["runs"].as_array()[2].as_object()["cycles_per_sec"] =
+  doc.as_object()["runs"].as_array()[1].as_object()["cycles_per_sec"] =
       nullptr;
   doc.as_object()["speedup"] = nullptr;
   const std::vector<std::string> problems = validate_bench_sim(doc);
@@ -159,7 +157,7 @@ TEST(BenchSchema, SimDocRejectsNullOutsideRateFields) {
   doc.as_object()["runs"].as_array()[0].as_object()["wall_ms"] = nullptr;
   EXPECT_FALSE(validate_bench_sim(doc).empty());
   json::Value doc2 = small_sim_doc();
-  doc2.as_object()["runs"].as_array()[1].as_object()["batch_runs"] = nullptr;
+  doc2.as_object()["runs"].as_array()[1].as_object()["wakes"] = nullptr;
   EXPECT_FALSE(validate_bench_sim(doc2).empty());
 }
 
@@ -167,6 +165,23 @@ TEST(BenchSchema, SimDocDetectsWrongRunCount) {
   json::Value doc = small_sim_doc();
   doc.as_object()["runs"].as_array().pop_back();
   EXPECT_FALSE(validate_bench_sim(doc).empty());
+}
+
+TEST(BenchSchema, SimDocRejectsRetiredThreeRowShape) {
+  // dense / event / wake_list: the retired global-horizon stepper's shape.
+  json::Value doc = small_sim_doc();
+  json::Array& rows = doc.as_object()["runs"].as_array();
+  json::Value event = rows[1];
+  event.as_object()["mode"] = "event";
+  rows.insert(rows.begin() + 1, std::move(event));
+  EXPECT_FALSE(validate_bench_sim(doc).empty());
+}
+
+TEST(BenchSchema, SimDocRejectsSwappedRowOrder) {
+  json::Value doc = small_sim_doc();
+  json::Array& rows = doc.as_object()["runs"].as_array();
+  std::swap(rows[0], rows[1]);  // the dense reference row comes first
+  EXPECT_EQ(validate_bench_sim(doc).size(), 2u);  // one per misplaced mode
 }
 
 TEST(BenchSchema, SimDocDetectsWrongBenchId) {
@@ -210,8 +225,8 @@ TEST(BenchSchema, AdmissionDocDetectsMissingDecisionKey) {
 }
 
 TEST(BenchSchema, AdmissionDocDetectsWrongStepperRows) {
-  // Exactly three rows, in dense / global-horizon / wake-list order, with
-  // the digest and audio checksum serialized as strings (uint64-safe).
+  // Exactly two rows, in dense / wake-list order, with the digest and
+  // audio checksum serialized as strings (uint64-safe).
   json::Value doc = small_admission_doc();
   doc.as_object()["steppers"].as_array().pop_back();
   EXPECT_FALSE(validate_bench_admission(doc).empty());
@@ -224,6 +239,13 @@ TEST(BenchSchema, AdmissionDocDetectsWrongStepperRows) {
   json::Value doc3 = small_admission_doc();
   doc3.as_object()["steppers"].as_array()[1].as_object()["digest"] = 7;
   EXPECT_FALSE(validate_bench_admission(doc3).empty());
+}
+
+TEST(BenchSchema, AdmissionDocRejectsGlobalHorizonRow) {
+  json::Value doc = small_admission_doc();
+  doc.as_object()["steppers"].as_array()[1].as_object()["stepper"] =
+      "global-horizon";
+  EXPECT_FALSE(validate_bench_admission(doc).empty());
 }
 
 TEST(BenchSchema, AdmissionDocDetectsDivergence) {
@@ -306,6 +328,14 @@ TEST(BenchSchema, RunReportDetectsUnknownStepper) {
   const std::vector<std::string> problems = validate_run_report(doc);
   ASSERT_FALSE(problems.empty());
   EXPECT_NE(problems.front().find("stepper"), std::string::npos);
+}
+
+TEST(BenchSchema, RunReportRejectsGlobalHorizonStepper) {
+  json::Value doc = small_run_report();
+  doc.as_object()["stepper"] = "global-horizon";
+  EXPECT_FALSE(validate_run_report(doc).empty());
+  doc.as_object()["stepper"] = "wake-list";
+  EXPECT_TRUE(validate_run_report(doc).empty());
 }
 
 TEST(BenchSchema, RunReportDetectsEmptyStreams) {

@@ -134,6 +134,18 @@ TEST(CFifo, WhenPredictionsAgreeWithGuardsAtEveryCycle) {
     EXPECT_EQ(f.can_push(now), now >= space_at) << "cycle " << now;
 }
 
+TEST(CFifo, HeadDeadlineAdvancesPerToken) {
+  // Popping a visible head does not expose a later push before that
+  // push's own visibility deadline.
+  CFifo f("t", 16, /*rlag=*/6, /*wlag=*/1);
+  f.push(0, 1);   // visible at 6
+  f.push(10, 2);  // visible at 16
+  EXPECT_EQ(f.pop(8), 1u);
+  EXPECT_EQ(f.when_fill_visible(1, 8), 16);
+  EXPECT_FALSE(f.can_pop(15));
+  EXPECT_EQ(f.pop(16), 2u);
+}
+
 TEST(CFifo, MetricsFollowPushAndPop) {
   obs::MetricsRegistry reg;
   CFifo f("q", 4, 0, 0);

@@ -1,11 +1,10 @@
-// Cycle-exact equivalence of the three steppers (ISSUE 3 + ISSUE 6 tentpole
-// proof): System::run (wake-list, selective ticking of woken components) and
-// System::run_global_horizon (all-or-nothing quiescent skip) must both be
-// indistinguishable from System::run_dense (the legacy every-cycle loop) in
-// EVERY externally visible respect — trace contents, final state, stats,
-// delivered data, and the deterministic fault pattern — on randomized
-// gateway chains with fixed seeds, fault-free and under fault injection,
-// and on the full PAL decoder demonstrator.
+// Cycle-exact equivalence of the two steppers: System::run (wake-list,
+// selective ticking of woken components) must be indistinguishable from
+// System::run_dense (the reference every-cycle loop) in EVERY externally
+// visible respect — trace contents, final state, stats, delivered data, and
+// the deterministic fault pattern — on randomized gateway chains with fixed
+// seeds, fault-free and under fault injection, and on the full PAL decoder
+// demonstrator.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -132,7 +131,6 @@ void expect_equivalent(const Digest& dense, const Digest& event) {
 
 TEST(EventHorizon, RandomChainsFaultFree) {
   std::mt19937_64 rng(0xACC0);  // fixed seed: the suite is reproducible
-  std::int64_t skipped_global = 0;
   std::int64_t skipped_wake = 0;
   std::int64_t wake_notifications = 0;
   std::int64_t dense_component_ticks = 0;
@@ -141,11 +139,8 @@ TEST(EventHorizon, RandomChainsFaultFree) {
     const Params p = random_params(rng, /*with_fault=*/false);
     SCOPED_TRACE("iteration " + std::to_string(iter));
     const Digest dense = run_scenario(p, StepperKind::kDense);
-    const Digest global = run_scenario(p, StepperKind::kGlobalHorizon);
     const Digest wake = run_scenario(p, StepperKind::kWakeList);
-    expect_equivalent(dense, global);
     expect_equivalent(dense, wake);
-    skipped_global += global.stepper.skipped_cycles;
     skipped_wake += wake.stepper.skipped_cycles;
     wake_notifications += wake.stepper.wakes;
     dense_component_ticks += dense.stepper.component_ticks;
@@ -154,7 +149,6 @@ TEST(EventHorizon, RandomChainsFaultFree) {
   // The machinery must actually engage — a stepper that never skips (or a
   // wake list that never fires, or that ticks everything anyway) would pass
   // every equivalence check vacuously.
-  EXPECT_GT(skipped_global, 0);
   EXPECT_GT(skipped_wake, 0);
   EXPECT_GT(wake_notifications, 0);
   EXPECT_LT(wake_component_ticks, dense_component_ticks);
@@ -162,31 +156,23 @@ TEST(EventHorizon, RandomChainsFaultFree) {
 
 TEST(EventHorizon, RandomChainsWithFaults) {
   std::mt19937_64 rng(0xACC1);
-  std::int64_t skipped_global = 0;
   std::int64_t skipped_wake = 0;
   for (int iter = 0; iter < 8; ++iter) {
     const Params p = random_params(rng, /*with_fault=*/true);
     SCOPED_TRACE("iteration " + std::to_string(iter));
     const Digest dense = run_scenario(p, StepperKind::kDense);
-    const Digest global = run_scenario(p, StepperKind::kGlobalHorizon);
     const Digest wake = run_scenario(p, StepperKind::kWakeList);
-    expect_equivalent(dense, global);
     expect_equivalent(dense, wake);
-    skipped_global += global.stepper.skipped_cycles;
     skipped_wake += wake.stepper.skipped_cycles;
   }
-  EXPECT_GT(skipped_global, 0);
   EXPECT_GT(skipped_wake, 0);
 }
 
 TEST(EventHorizon, SkipsDominateQuiescentTail) {
   // Payload drains within a few thousand cycles; the remaining tail is pure
-  // quiescence both event steppers should jump over nearly for free.
+  // quiescence the wake-list stepper should jump over nearly for free.
   Params p;
   p.run_cycles = 30000;
-  const Digest global = run_scenario(p, StepperKind::kGlobalHorizon);
-  EXPECT_GT(global.stepper.skips, 0);
-  EXPECT_GT(global.stepper.skipped_cycles, p.run_cycles / 2);
   const Digest wake = run_scenario(p, StepperKind::kWakeList);
   EXPECT_GT(wake.stepper.skips, 0);
   EXPECT_GT(wake.stepper.skipped_cycles, p.run_cycles / 2);
@@ -282,19 +268,15 @@ TEST(EventHorizon, PalDecoderEquivalence) {
   app::PalSimConfig cfg = small_pal();
   cfg.stepper = StepperKind::kDense;
   const app::PalSimResult dense = app::run_pal_decoder(cfg);
-  cfg.stepper = StepperKind::kGlobalHorizon;
-  const app::PalSimResult global = app::run_pal_decoder(cfg);
   cfg.stepper = StepperKind::kWakeList;
   const app::PalSimResult wake = app::run_pal_decoder(cfg);
-  expect_same_pal(dense, global);
   expect_same_pal(dense, wake);
   EXPECT_EQ(dense.stepper.skips, 0);
-  EXPECT_GT(global.stepper.skipped_cycles, 0);
   EXPECT_GT(wake.stepper.skipped_cycles, 0);
   EXPECT_GT(wake.stepper.wakes, 0);
   // Selective ticking: the wake list must tick strictly fewer components
-  // than the all-or-nothing skipper on the same workload.
-  EXPECT_LT(wake.stepper.component_ticks, global.stepper.component_ticks);
+  // than dense on the same workload.
+  EXPECT_LT(wake.stepper.component_ticks, dense.stepper.component_ticks);
 }
 
 TEST(EventHorizon, PalDecoderEquivalenceUnderFaults) {
@@ -324,15 +306,10 @@ TEST(EventHorizon, PalDecoderEquivalenceUnderFaults) {
     return std::make_pair(std::move(res), trace.to_csv());
   };
   const auto [dense, dense_csv] = run(StepperKind::kDense);
-  const auto [global, global_csv] = run(StepperKind::kGlobalHorizon);
   const auto [wake, wake_csv] = run(StepperKind::kWakeList);
-  expect_same_pal(dense, global);
   expect_same_pal(dense, wake);
-  EXPECT_EQ(dense_csv, global_csv);
   EXPECT_EQ(dense_csv, wake_csv);
-  EXPECT_EQ(dense.gateway.notify_timeouts, global.gateway.notify_timeouts);
   EXPECT_EQ(dense.gateway.notify_timeouts, wake.gateway.notify_timeouts);
-  EXPECT_EQ(dense.gateway.notify_recoveries, global.gateway.notify_recoveries);
   EXPECT_EQ(dense.gateway.notify_recoveries, wake.gateway.notify_recoveries);
 }
 
@@ -340,11 +317,8 @@ TEST(EventHorizon, PalDedicatedDecoderEquivalence) {
   app::PalSimConfig cfg = small_pal();
   cfg.stepper = StepperKind::kDense;
   const app::PalSimResult dense = app::run_pal_decoder_dedicated(cfg);
-  cfg.stepper = StepperKind::kGlobalHorizon;
-  const app::PalSimResult global = app::run_pal_decoder_dedicated(cfg);
   cfg.stepper = StepperKind::kWakeList;
   const app::PalSimResult wake = app::run_pal_decoder_dedicated(cfg);
-  expect_same_pal(dense, global);
   expect_same_pal(dense, wake);
 }
 

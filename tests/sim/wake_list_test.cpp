@@ -12,16 +12,24 @@
 //   3. the FaultInjector's seeded RNG stream must be consulted at the same
 //      cycles even when those consults fall inside a range the wake-list
 //      stepper skipped — fault stats and delivery timing stay bit-identical
-//      to dense.
+//      to dense;
+//   4. a fast source feeding a slow, out-of-phase sink wakes the sleeping
+//      sink on every push — received flits, DAC timestamps, counters and
+//      the metrics snapshot match dense, under run() and run_until();
+//   5. a lone hinted processor task sleeps through its budget-exhausted
+//      gaps and still invokes exactly as often as under dense.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/cfifo.hpp"
 #include "sim/fault.hpp"
+#include "sim/proc_tile.hpp"
 #include "sim/system.hpp"
 
 namespace acc::sim {
@@ -328,6 +336,112 @@ TEST(WakeListEdge, FaultRngConsultedInsideSkippedRange) {
     EXPECT_GT(wake.stats.skipped_cycles, 0);
     EXPECT_LT(wake.stats.dense_ticks, dense.stats.dense_ticks);
   }
+}
+
+// --- 4. staggered fast source / slow sink ----------------------------------
+
+/// A fast source (period 4) feeding a slow DAC sink (period 50) through one
+/// C-FIFO. The sink is registered first, so each push wakes a slot the
+/// cycle's scan already passed (the wake lands at now + 1), and the sink
+/// sleeps between DAC deadlines while the source keeps pushing.
+struct StaggeredRig {
+  static std::vector<Flit> payload() {
+    std::vector<Flit> data;
+    for (Flit i = 0; i < 40; ++i) data.push_back(100 + i);
+    return data;
+  }
+
+  System sys{2};
+  CFifo& fifo = sys.add_fifo("f", 64, /*read_visibility_lag=*/1,
+                             /*write_visibility_lag=*/1);
+  SinkTile& sink = sys.add<SinkTile>("sink", fifo, /*period=*/50,
+                                     /*prefill=*/1);
+  SourceTile& src = sys.add<SourceTile>("src", fifo, payload(),
+                                        /*period=*/4);
+};
+
+struct StaggeredOutcome {
+  std::vector<Flit> received;
+  std::vector<Cycle> timestamps;
+  std::int64_t emitted = 0;
+  std::int64_t dropped = 0;
+  std::int64_t underruns = 0;
+  std::string metrics;
+};
+
+StaggeredOutcome run_staggered(StepperKind kind) {
+  StaggeredRig rig;
+  obs::MetricsRegistry metrics;
+  rig.fifo.set_metrics(&metrics);
+  rig.sink.set_metrics(&metrics);
+  rig.src.set_metrics(&metrics);
+  rig.sys.run_with(kind, 2100);
+  return {rig.sink.received(), rig.sink.timestamps(), rig.src.emitted(),
+          rig.src.dropped(),   rig.sink.underruns(),  metrics.snapshot_text()};
+}
+
+TEST(WakeListEdge, StaggeredSourceAndSinkMatchDense) {
+  const StaggeredOutcome dense = run_staggered(StepperKind::kDense);
+  const StaggeredOutcome wake = run_staggered(StepperKind::kWakeList);
+  EXPECT_EQ(wake.received, dense.received);
+  EXPECT_EQ(wake.timestamps, dense.timestamps);
+  EXPECT_EQ(wake.emitted, dense.emitted);
+  EXPECT_EQ(wake.dropped, dense.dropped);
+  EXPECT_EQ(wake.underruns, dense.underruns);
+  // Per-token FIFO traffic, the occupancy histogram and the source/sink
+  // counters must be byte-identical.
+  EXPECT_EQ(wake.metrics, dense.metrics);
+  EXPECT_EQ(dense.dropped, 0);
+  EXPECT_EQ(dense.received.size(), 40u);
+}
+
+TEST(WakeListEdge, StaggeredRunUntilMatchesDenseTimestamps) {
+  // run_until evaluates its predicate at every stepped cycle and jump
+  // target; the DAC timestamps it leaves behind must be the dense ones.
+  StaggeredRig rig;
+  const bool done = rig.sys.run_until(
+      [&rig](Cycle) { return rig.sink.received().size() == 40; }, 3000);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(rig.src.dropped(), 0);
+  EXPECT_EQ(rig.sink.timestamps(),
+            run_staggered(StepperKind::kDense).timestamps);
+}
+
+TEST(WakeListEdge, StaggeredSinkSleepsBetweenDacDeadlines) {
+  // Not vacuous: the wake-list run skips over nine tenths of the 2100
+  // cycles and does under a tenth of dense's component ticks.
+  StaggeredRig dense, wake;
+  dense.sys.run_with(StepperKind::kDense, 2100);
+  wake.sys.run_with(StepperKind::kWakeList, 2100);
+  const StepperStats& w = wake.sys.stepper_stats();
+  EXPECT_GT(w.wakes, 0);
+  EXPECT_GT(w.skipped_cycles * 10, 2100 * 9);
+  EXPECT_LT(w.component_ticks * 10, dense.sys.stepper_stats().component_ticks);
+}
+
+// --- 5. lone hinted processor task ----------------------------------------
+
+TEST(WakeListEdge, LoneHintedTaskInvocationsMatchDense) {
+  // Always ready, cost 10, budget 50 per 100-cycle period: the task is
+  // suspended for half of every period, and the wake-list run sleeps
+  // through those gaps on the replenishment grid alone.
+  const auto run = [](StepperKind kind) {
+    System sys(2);
+    CFifo& f = sys.add_fifo("f", 8, 1, 1);
+    auto& pt = sys.add<ProcessorTile>("pt", /*replenish=*/100);
+    Task t;
+    t.name = "work";
+    t.invoke = [](Cycle) -> Cycle { return 10; };
+    t.budget = 50;
+    t.next_ready = [](Cycle now) -> Cycle { return now; };
+    t.wake_on_push = {&f};
+    pt.add_task(std::move(t));
+    sys.run_with(kind, 1000);
+    return std::make_pair(pt.invocations(0), pt.busy_cycles());
+  };
+  const auto dense = run(StepperKind::kDense);
+  EXPECT_GT(dense.first, 0);
+  EXPECT_EQ(run(StepperKind::kWakeList), dense);
 }
 
 }  // namespace
