@@ -57,7 +57,7 @@ class StreamKernel {
   /// Reset to the power-on state.
   virtual void reset() = 0;
 
-  /// Number of 32-bit words save_state() produces (config-bus cost model).
+  /// Number of 32-bit words save_state() produces.
   [[nodiscard]] virtual std::size_t state_words() const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;

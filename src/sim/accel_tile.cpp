@@ -73,11 +73,6 @@ void AcceleratorTile::set_metrics(obs::MetricsRegistry* registry) {
   m_batch_samples_ = obs::make_counter(registry, prefix + ".batch_samples");
 }
 
-std::size_t AcceleratorTile::context_words() const {
-  ACC_EXPECTS(active_ >= 0);
-  return contexts_.at(active_)->state_words();
-}
-
 void AcceleratorTile::set_upstream(std::int32_t node, std::uint32_t tag) {
   upstream_node_ = node;
   upstream_tag_ = tag;

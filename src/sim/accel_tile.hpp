@@ -102,9 +102,6 @@ class AcceleratorTile final : public Component {
   [[nodiscard]] std::int64_t pending_returns() const {
     return pending_credit_returns_;
   }
-  /// Words a context switch moves for this tile's active kernel (config-bus
-  /// cost model input).
-  [[nodiscard]] std::size_t context_words() const;
 
  private:
   void drain_network(Cycle now);

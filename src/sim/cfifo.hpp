@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
+#include "common/ring_buffer.hpp"
 #include "obs/metrics.hpp"
 #include "sim/flit.hpp"
 #include "sim/ring.hpp"
@@ -101,13 +101,6 @@ class CFifo {
   /// registrations are coalesced.
   void add_push_watcher(Component* c);
   void add_pop_watcher(Component* c);
-
-  /// Back both queues with a per-System arena (see common/arena.hpp);
-  /// takes effect on the next growth. Standalone FIFOs stay heap-backed.
-  void set_arena(Arena* arena) {
-    data_.set_arena(arena);
-    freed_.set_arena(arena);
-  }
 
   /// Canonical state snapshot (see sim/state_hash.hpp): queue contents and
   /// visibility deadlines are frozen protocol state; the lifetime counters

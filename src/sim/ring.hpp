@@ -14,8 +14,8 @@
 #include <limits>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
+#include "common/ring_buffer.hpp"
 #include "obs/metrics.hpp"
 #include "sim/flit.hpp"
 #include "sim/state_hash.hpp"
@@ -114,12 +114,6 @@ class Ring {
   /// ejections so the scheduler can wake the ring and the draining tiles.
   /// Null (the default) until a wake-list run installs it.
   void set_wake_hub(WakeHub* hub) { hub_ = hub; }
-
-  /// Back the injection queues with a per-System arena (see common/
-  /// arena.hpp). Standalone rings (unit tests) stay heap-backed.
-  void set_arena(Arena* arena) {
-    for (auto& q : inject_) q.set_arena(arena);
-  }
 
   /// True when no slot is occupied and no injection queue holds a message —
   /// ticking such a ring moves nothing. Ejected messages awaiting pickup
@@ -352,12 +346,6 @@ class DualRing {
   void set_wake_hub(WakeHub* hub) {
     data_.set_wake_hub(hub);
     credit_.set_wake_hub(hub);
-  }
-
-  /// Arena-back both rings' injection queues (see Ring::set_arena).
-  void set_arena(Arena* arena) {
-    data_.set_arena(arena);
-    credit_.set_arena(arena);
   }
 
  private:

@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "sim/cfifo.hpp"
 #include "sim/component.hpp"
 #include "sim/fault.hpp"
@@ -63,18 +62,10 @@ enum class StepperKind {
 
 class System final : public WakeHub {
  public:
-  explicit System(std::int32_t ring_nodes) : ring_(ring_nodes) {
-    // Token storage (ring injection queues, C-FIFO deadline queues) bumps
-    // from the per-System arena: no steady-state heap traffic, and the
-    // queues of one system share locality. arena_ is declared before
-    // ring_/fifos_, so it outlives every container carved from it.
-    ring_.data().set_arena(&arena_);
-    ring_.credit().set_arena(&arena_);
-  }
+  explicit System(std::int32_t ring_nodes) : ring_(ring_nodes) {}
 
   [[nodiscard]] DualRing& ring() { return ring_; }
   [[nodiscard]] const DualRing& ring() const { return ring_; }
-  [[nodiscard]] const Arena& arena() const { return arena_; }
 
   /// Construct and own a component; ticked in creation order.
   template <typename T, typename... Args>
@@ -90,7 +81,6 @@ class System final : public WakeHub {
   template <typename... Args>
   CFifo& add_fifo(Args&&... args) {
     fifos_.push_back(std::make_unique<CFifo>(std::forward<Args>(args)...));
-    fifos_.back()->set_arena(&arena_);
     wake_ready_ = false;
     return *fifos_.back();
   }
@@ -429,7 +419,6 @@ class System final : public WakeHub {
     if (ring_.credit().cycle() < upto) ring_.credit().skip_to(upto);
   }
 
-  Arena arena_;  // declared first: backs ring_ and fifos_ token storage
   DualRing ring_;
   std::vector<std::unique_ptr<Component>> components_;
   std::vector<std::unique_ptr<CFifo>> fifos_;

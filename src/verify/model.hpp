@@ -13,9 +13,9 @@
 //    and AcceleratorTile::snapshot_state hashes kernel state via
 //    save_state(), so even the decimation counter is part of the canonical
 //    state digest.
-//  - The ConfigBus is a stateless cost model (src/sim/config_bus.hpp), not
-//    a Component: it has no state to snapshot, and its cost is charged
-//    inside the entry gateway's reconfiguration phase, which IS explored.
+//  - The context-switch cost R_s has no Component of its own, so there is
+//    no state to snapshot: it is charged inside the entry gateway's
+//    reconfiguration phase, which IS explored.
 #pragma once
 
 #include <cstdint>

@@ -1,49 +1,17 @@
-// ISSUE 8: the per-System bump arena and the arena-backed RingBuffer that
-// hold C-FIFO and ring token storage. The simulator relies on exactly the
-// properties pinned here: FIFO order across growth and wraparound, bump
-// alignment, oversized dedicated chunks, and heap/arena parity.
-#include "common/arena.hpp"
+// The growable ring buffer that holds C-FIFO and ring token storage. The
+// simulator relies on exactly the properties pinned here: FIFO order across
+// growth and wraparound, power-of-two growth, and move semantics that leave
+// the source empty and reusable.
+#include "common/ring_buffer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
+#include <utility>
 
 namespace acc {
 namespace {
-
-TEST(Arena, BumpsWithinOneChunkAndRespectsAlignment) {
-  Arena a(/*chunk_bytes=*/256);
-  void* p1 = a.allocate(3, 1);
-  void* p2 = a.allocate(8, 8);
-  ASSERT_NE(p1, nullptr);
-  ASSERT_NE(p2, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p2) % 8, 0u);
-  EXPECT_EQ(a.chunk_count(), 1u);
-  EXPECT_EQ(a.bytes_reserved(), 256u);
-  EXPECT_EQ(a.bytes_allocated(), 11u);
-}
-
-TEST(Arena, GrowsByChunksAndNeverReusesFreedSpace) {
-  Arena a(64);
-  for (int i = 0; i < 10; ++i) (void)a.allocate(40, 8);
-  // 40 aligned bytes per 64-byte chunk: every allocation needs a new chunk
-  // after the first fills past the next alignment boundary.
-  EXPECT_GE(a.chunk_count(), 5u);
-  EXPECT_EQ(a.bytes_allocated(), 400u);
-  EXPECT_GE(a.bytes_reserved(), a.bytes_allocated());
-}
-
-TEST(Arena, OversizedRequestGetsDedicatedChunk) {
-  Arena a(64);
-  void* big = a.allocate(1000, 16);
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(a.chunk_count(), 1u);
-  EXPECT_EQ(a.bytes_reserved(), 1000u);
-  // The arena keeps working after an oversized chunk.
-  void* next = a.allocate(8, 8);
-  ASSERT_NE(next, nullptr);
-}
 
 TEST(RingBuffer, FifoOrderAcrossGrowthMatchesDeque) {
   // Differential check against std::deque through a push/pop pattern that
@@ -80,20 +48,6 @@ TEST(RingBuffer, WrapsWithoutGrowthWhenDrained) {
   EXPECT_EQ(rb.size(), 8u);
 }
 
-TEST(RingBuffer, ArenaBackedGrowthAbandonsOldBlocksToArena) {
-  Arena a;
-  const std::size_t before = a.bytes_allocated();
-  RingBuffer<std::int64_t> rb;
-  rb.set_arena(&a);
-  for (int i = 0; i < 100; ++i) rb.push_back(i);
-  EXPECT_GT(a.bytes_allocated(), before);  // storage came from the arena
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(rb.front(), i);
-    rb.pop_front();
-  }
-  EXPECT_TRUE(rb.empty());
-}
-
 TEST(RingBuffer, MoveTransfersStorage) {
   RingBuffer<int> rb;
   for (int i = 0; i < 5; ++i) rb.push_back(i);
@@ -117,6 +71,35 @@ TEST(RingBuffer, ClearResetsWithoutReleasingCapacity) {
   EXPECT_EQ(rb.capacity(), cap);
   rb.push_back(7);
   EXPECT_EQ(rb.front(), 7);
+}
+
+TEST(RingBuffer, MovedFromBufferIsEmptyAndReusable) {
+  RingBuffer<int> rb;
+  for (int i = 0; i < 12; ++i) rb.push_back(i);
+  RingBuffer<int> moved(std::move(rb));
+  EXPECT_TRUE(rb.empty());
+  EXPECT_EQ(rb.capacity(), 0u);
+  for (int i = 0; i < 20; ++i) rb.push_back(100 + i);
+  ASSERT_EQ(rb.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_EQ(rb.front(), 100 + i);
+    rb.pop_front();
+  }
+  EXPECT_EQ(moved.size(), 12u);
+  EXPECT_EQ(moved.back(), 11);
+}
+
+TEST(RingBuffer, CapacityDoublesFromEight) {
+  // Index masking needs a power-of-two capacity: 8, then doubling.
+  RingBuffer<int> rb;
+  EXPECT_EQ(rb.capacity(), 0u);
+  rb.push_back(0);
+  EXPECT_EQ(rb.capacity(), 8u);
+  for (int i = 1; i < 9; ++i) rb.push_back(i);
+  EXPECT_EQ(rb.capacity(), 16u);
+  for (int i = 9; i < 17; ++i) rb.push_back(i);
+  EXPECT_EQ(rb.capacity(), 32u);
+  for (int i = 0; i < 17; ++i) EXPECT_EQ(rb[static_cast<std::size_t>(i)], i);
 }
 
 }  // namespace

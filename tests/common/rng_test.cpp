@@ -1,9 +1,6 @@
-#include <gtest/gtest.h>
-
-#include <sstream>
-
-#include "common/log.hpp"
 #include "common/rng.hpp"
+
+#include <gtest/gtest.h>
 
 namespace acc {
 namespace {
@@ -51,32 +48,6 @@ TEST(Rng, ChanceRoughlyCalibrated) {
   int hits = 0;
   for (int i = 0; i < 10000; ++i) hits += r.chance(0.3) ? 1 : 0;
   EXPECT_NEAR(hits, 3000, 200);
-}
-
-TEST(Log, LevelsFilterOutput) {
-  std::ostringstream sink;
-  Log::set_sink(&sink);
-  Log::set_level(LogLevel::kInfo);
-  ACC_DEBUG("hidden " << 1);
-  ACC_INFO("visible " << 2);
-  ACC_WARN("also " << 3);
-  Log::set_sink(nullptr);
-  Log::set_level(LogLevel::kWarn);
-  const std::string out = sink.str();
-  EXPECT_EQ(out.find("hidden"), std::string::npos);
-  EXPECT_NE(out.find("visible 2"), std::string::npos);
-  EXPECT_NE(out.find("also 3"), std::string::npos);
-  EXPECT_NE(out.find("[INFO ]"), std::string::npos);
-}
-
-TEST(Log, OffSilencesEverything) {
-  std::ostringstream sink;
-  Log::set_sink(&sink);
-  Log::set_level(LogLevel::kOff);
-  ACC_WARN("nope");
-  Log::set_sink(nullptr);
-  Log::set_level(LogLevel::kWarn);
-  EXPECT_TRUE(sink.str().empty());
 }
 
 }  // namespace

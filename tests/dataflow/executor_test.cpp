@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "dataflow/graph.hpp"
 
 namespace acc::df {
@@ -220,6 +224,129 @@ TEST(Executor, ObserverSeesFiringsAndProductions) {
   // 3rd firing within the same step: 5 starts, 4 completed productions.
   EXPECT_EQ(firings, 5);
   EXPECT_EQ(produces, 4);
+}
+
+// src(2) -> mid(3), bounded by a feedback edge holding 4 tokens. The
+// refinement checks read these exact timestamps through ExecObservers.
+struct Pipeline {
+  Graph g;
+  ActorId src;
+  ActorId mid;
+  EdgeId back;
+};
+
+Pipeline serialized_pipeline() {
+  Pipeline p;
+  p.src = p.g.add_sdf_actor("src", 2);
+  p.mid = p.g.add_sdf_actor("mid", 3);
+  p.g.add_sdf_edge(p.src, p.mid, 1, 1, 0);
+  p.back = p.g.add_sdf_edge(p.mid, p.src, 1, 1, 4);
+  return p;
+}
+
+struct Production {
+  EdgeId edge;
+  std::int64_t count;
+  Time when;
+  bool operator==(const Production&) const = default;
+};
+
+TEST(ExecutorObservers, FiringStartTimesOfSerializedSource) {
+  Pipeline p = serialized_pipeline();
+  SelfTimedExecutor exec(p.g);
+  std::vector<std::pair<Time, Time>> src_firings;
+  ExecObservers obs;
+  obs.on_firing = [&](ActorId a, std::int32_t, Time start, Time end) {
+    if (a == p.src) src_firings.emplace_back(start, end);
+  };
+  exec.set_observers(obs);
+  ASSERT_TRUE(exec.run_until_firings(p.src, 3).has_value());
+  // src is serialized with 4 feedback tokens: back-to-back firings, each
+  // reported at its start with its end already known.
+  ASSERT_GE(src_firings.size(), 3u);
+  EXPECT_EQ(src_firings[0], std::make_pair(Time{0}, Time{2}));
+  EXPECT_EQ(src_firings[1], std::make_pair(Time{2}, Time{4}));
+  EXPECT_EQ(src_firings[2], std::make_pair(Time{4}, Time{6}));
+}
+
+TEST(ExecutorObservers, ProductionTimesOnFeedbackEdge) {
+  Pipeline p = serialized_pipeline();
+  SelfTimedExecutor exec(p.g);
+  std::vector<Production> seen;
+  ExecObservers obs;
+  obs.on_produce = [&](EdgeId e, std::int64_t n, Time t) {
+    if (e == p.back) seen.push_back({e, n, t});
+  };
+  exec.set_observers(obs);
+  ASSERT_TRUE(exec.run_until_firings(p.mid, 3).has_value());
+  // mid fires [2,5], [5,8], [8,11] (serialized, inputs at 2, 4, 6).
+  const std::vector<Production> want = {
+      {p.back, 1, 5}, {p.back, 1, 8}, {p.back, 1, 11}};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(ExecutorObservers, BulkProductionIsOneCallWithItsCount) {
+  Graph g;
+  const ActorId a = g.add_sdf_actor("a", 4);
+  const ActorId b = g.add_sdf_actor("b", 1);
+  const EdgeId e = g.add_sdf_edge(a, b, 3, 1, 0);
+  SelfTimedExecutor exec(g);
+  std::vector<Production> seen;
+  ExecObservers obs;
+  obs.on_produce = [&](EdgeId edge, std::int64_t n, Time t) {
+    seen.push_back({edge, n, t});
+  };
+  exec.set_observers(obs);
+  ASSERT_TRUE(exec.run_until_firings(a, 2).has_value());
+  const std::vector<Production> want = {{e, 3, 4}, {e, 3, 8}};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(ExecutorObservers, ZeroTokenCycleReportsNothing) {
+  Graph g;
+  const ActorId x = g.add_sdf_actor("x", 1);
+  const ActorId y = g.add_sdf_actor("y", 1);
+  g.add_sdf_edge(x, y, 1, 1, 0);
+  g.add_sdf_edge(y, x, 1, 1, 0);
+  SelfTimedExecutor exec(g);
+  int firings = 0;
+  int produces = 0;
+  ExecObservers obs;
+  obs.on_firing = [&](ActorId, std::int32_t, Time, Time) { ++firings; };
+  obs.on_produce = [&](EdgeId, std::int64_t, Time) { ++produces; };
+  exec.set_observers(obs);
+  EXPECT_EQ(exec.run_until_firings(x, 3), std::nullopt);
+  EXPECT_EQ(firings, 0);
+  EXPECT_EQ(produces, 0);
+}
+
+TEST(ExecutorObservers, CsdfFiringsReportPhaseIndexAndDuration) {
+  // Three phases with distinct durations; A has no inputs, so its phases
+  // run back to back.
+  Graph g;
+  const ActorId a = g.add_actor("A", {1, 4, 2});
+  const ActorId b = g.add_sdf_actor("B", 1);
+  g.add_edge(a, b, {1, 0, 1}, {1}, 0);
+  SelfTimedExecutor exec(g);
+  std::vector<std::int32_t> phases;
+  std::vector<Time> durations;
+  Time last_end = 0;
+  ExecObservers obs;
+  obs.on_firing = [&](ActorId actor, std::int32_t phase, Time start,
+                      Time end) {
+    if (actor != a) return;
+    EXPECT_EQ(start, last_end);
+    last_end = end;
+    phases.push_back(phase);
+    durations.push_back(end - start);
+  };
+  exec.set_observers(obs);
+  ASSERT_TRUE(exec.run_until_firings(a, 6).has_value());
+  ASSERT_GE(phases.size(), 6u);
+  phases.resize(6);
+  durations.resize(6);
+  EXPECT_EQ(phases, (std::vector<std::int32_t>{0, 1, 2, 0, 1, 2}));
+  EXPECT_EQ(durations, (std::vector<Time>{1, 4, 2, 1, 4, 2}));
 }
 
 TEST(Executor, RunForHorizonStopsOnTime) {

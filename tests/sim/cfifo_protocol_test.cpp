@@ -1,4 +1,4 @@
-#include "sim/cfifo_protocol.hpp"
+#include "../support/cfifo_protocol.hpp"
 
 #include <gtest/gtest.h>
 
