@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   Table t({"stepper", "cycles", "modechanges", "accepts", "rejects",
            "cache-hits", "misses", "samples", "digest"});
   for (const app::ChurnRunResult& r : res.runs) {
-    t.add_row({app::stepper_name(r.stepper), std::to_string(r.cycles_run),
+    t.add_row({app::stepper_name(r.kind), std::to_string(r.cycles_run),
                std::to_string(r.mode_changes), std::to_string(r.accepts),
                std::to_string(r.rejects),
                std::to_string(r.cache_hits) + "/" +

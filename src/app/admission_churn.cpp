@@ -246,7 +246,7 @@ ChurnRunResult run_admission_churn(const ChurnConfig& cfg,
   ctrl::ModeChangeProtocol protocol(mc);
 
   ChurnRunResult res;
-  res.stepper = stepper;
+  res.kind = stepper;
 
   std::vector<Session> sessions;  // indexed by session id (join order)
 
@@ -375,6 +375,7 @@ ChurnRunResult run_admission_churn(const ChurnConfig& cfg,
 
   res.cycles_run = sys.now();
   res.digest = sys.state_digest();
+  res.stepper = sys.stepper_stats();
   res.cache_lookups = admission.cache_lookups();
   res.cache_hits = admission.cache_hits();
   res.accepts = admission.accepts();
@@ -532,7 +533,7 @@ json::Value admission_bench_doc(const ChurnConfig& cfg,
   json::Array steppers;
   for (const ChurnRunResult& r : res.runs) {
     json::Object rv;
-    rv["stepper"] = stepper_name(r.stepper);
+    rv["stepper"] = stepper_name(r.kind);
     rv["cycles_run"] = r.cycles_run;
     rv["digest"] = std::to_string(r.digest);  // uint64: keep as string
     rv["audio_checksum"] = std::to_string(r.audio_checksum);

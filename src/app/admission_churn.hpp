@@ -105,7 +105,7 @@ struct ChurnDecision {
 
 /// Outcome of one full trace replay under one stepper.
 struct ChurnRunResult {
-  sim::StepperKind stepper = sim::StepperKind::kWakeList;
+  sim::StepperKind kind = sim::StepperKind::kWakeList;
   std::vector<ChurnDecision> decisions;
   sim::Cycle cycles_run = 0;
   std::uint64_t digest = 0;          // final System::state_digest()
@@ -121,6 +121,7 @@ struct ChurnRunResult {
   std::int64_t accepts = 0;
   std::int64_t rejects = 0;
   std::int64_t analysis_work = 0;
+  sim::StepperStats stepper;         // the stepper's own work counters
 };
 
 struct ChurnResult {

@@ -53,6 +53,9 @@ json::Object run_to_json(const SimBenchRun& r) {
   o["component_ticks"] = r.component_ticks;
   o["horizon_queries"] = r.horizon_queries;
   o["wakes"] = r.wakes;
+  o["calendar_visits"] = r.calendar_visits;
+  o["rearms"] = r.rearms;
+  o["sync_visits"] = r.sync_visits;
   o["sink_samples"] = r.sink_samples;
   o["source_drops"] = r.source_drops;
   o["sink_underruns"] = r.sink_underruns;
@@ -107,6 +110,9 @@ SimBenchRun sim_bench_run(const PalSimConfig& pal, sim::StepperKind kind) {
   r.component_ticks = res.stepper.component_ticks;
   r.horizon_queries = res.stepper.horizon_queries;
   r.wakes = res.stepper.wakes;
+  r.calendar_visits = res.stepper.calendar_visits;
+  r.rearms = res.stepper.rearms;
+  r.sync_visits = res.stepper.sync_visits;
   r.sink_samples = static_cast<std::int64_t>(res.left.size() +
                                              res.right.size());
   r.source_drops = res.source_drops;

@@ -42,6 +42,11 @@ struct SimBenchRun {
   std::int64_t component_ticks = 0;   // Component::tick calls
   std::int64_t horizon_queries = 0;   // next_event consultations
   std::int64_t wakes = 0;             // wake notifications delivered
+  // Calendar walk (zero under dense): armed slots examined, slots armed at
+  // now, components settled by sync_all.
+  std::int64_t calendar_visits = 0;
+  std::int64_t rearms = 0;
+  std::int64_t sync_visits = 0;
   // Outcome digest.
   std::int64_t sink_samples = 0;
   std::int64_t source_drops = 0;

@@ -200,6 +200,9 @@ std::vector<std::string> validate_bench_sim(const json::Value& doc) {
                    {"component_ticks", Kind::kInt},
                    {"horizon_queries", Kind::kInt},
                    {"wakes", Kind::kInt},
+                   {"calendar_visits", Kind::kInt},
+                   {"rearms", Kind::kInt},
+                   {"sync_visits", Kind::kInt},
                    {"sink_samples", Kind::kInt},
                    {"source_drops", Kind::kInt},
                    {"sink_underruns", Kind::kInt},

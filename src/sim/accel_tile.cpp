@@ -76,6 +76,8 @@ void AcceleratorTile::set_metrics(obs::MetricsRegistry* registry) {
 void AcceleratorTile::set_upstream(std::int32_t node, std::uint32_t tag) {
   upstream_node_ = node;
   upstream_tag_ = tag;
+  // Credit returns owed while unwired can go out now.
+  request_wake();
 }
 
 void AcceleratorTile::set_downstream(std::int32_t node, std::uint32_t tag,
@@ -83,6 +85,8 @@ void AcceleratorTile::set_downstream(std::int32_t node, std::uint32_t tag,
   downstream_node_ = node;
   downstream_tag_ = tag;
   credits_ = credits;
+  // Output held while unwired can be forwarded now.
+  request_wake();
 }
 
 void AcceleratorTile::drain_network(Cycle) {

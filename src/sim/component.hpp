@@ -50,6 +50,7 @@ class Component {
   /// (C-FIFO watcher, ring delivery, direct callback), so a cached horizon
   /// can never go stale-late. Components that cannot promise that return
   /// false and are re-queried every active cycle instead (exact, slower).
+  /// A mutator that changes the answer must call request_wake().
   [[nodiscard]] virtual bool wake_list_safe() const { return true; }
 
   /// True when skip_to() replays FROZEN-channel state — state that
@@ -78,7 +79,11 @@ class Component {
 
   /// Notify the scheduler that this component may need to act earlier than
   /// its cached horizon (no-op without a hub). Called by C-FIFOs on behalf
-  /// of registered watchers and by components delivering direct callbacks.
+  /// of registered watchers, by components delivering direct callbacks, and
+  /// by every mutator that can lower this component's horizon from outside
+  /// its own tick — including between runs, where the cached horizon
+  /// carries over. A wake between runs also makes the System re-read
+  /// wake_list_safe().
   void request_wake() {
     if (hub_ != nullptr) hub_->wake(*this);
   }

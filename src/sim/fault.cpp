@@ -33,6 +33,9 @@ void FaultInjector::configure(FaultSite site, const FaultSpec& spec) {
   ACC_EXPECTS_MSG(spec.probability == 0.0 || spec.max_delay >= 1,
                   "a delay fault needs max_delay >= 1");
   sites_[static_cast<std::size_t>(site)].spec = spec;
+  // A new spec can open an eligibility window earlier than the cached
+  // horizons derived from the old one.
+  if (hub_ != nullptr) hub_->fault_site_changed(site);
 }
 
 const FaultSpec& FaultInjector::spec(FaultSite site) const {

@@ -37,6 +37,9 @@ void EntryGateway::add_stream(const StreamRoute& route) {
   // visibility deadlines: a producer push or consumer pop must wake us.
   route.input->add_push_watcher(this);
   route.output->add_pop_watcher(this);
+  // A parked gateway (no streams yet) may find a block already waiting in
+  // the new stream's input FIFO; no push will announce it.
+  request_wake();
 }
 
 void EntryGateway::remove_stream(StreamId id) {
@@ -98,11 +101,15 @@ void EntryGateway::set_retry_policy(const GatewayRetryPolicy& policy) {
   ACC_EXPECTS(policy.notify_timeout >= 0 && policy.backoff >= 0);
   ACC_EXPECTS(policy.max_retries >= 0);
   retry_ = policy;
+  // A drain parked on the exit-gateway alone now has a recovery poll.
+  request_wake();
 }
 
 void EntryGateway::set_credit_stall_threshold(Cycle threshold) {
   ACC_EXPECTS(threshold >= 1);
   credit_stall_threshold_ = threshold;
+  // A starved gateway parked until the old threshold may be due sooner.
+  request_wake();
 }
 
 void EntryGateway::set_metrics(obs::MetricsRegistry* registry) {

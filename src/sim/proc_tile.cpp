@@ -21,6 +21,9 @@ void ProcessorTile::add_task(Task t) {
   for (CFifo* f : t.wake_on_push) f->add_push_watcher(this);
   for (CFifo* f : t.wake_on_pop) f->add_pop_watcher(this);
   tasks_.push_back(std::move(t));
+  // The new task may be ready at once, and it may make the tile wake-unsafe
+  // (the System re-classifies a tile a between-run wake reaches).
+  request_wake();
 }
 
 bool ProcessorTile::wake_list_safe() const {

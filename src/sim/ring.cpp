@@ -23,6 +23,12 @@ std::vector<RingMsg> Ring::drain(std::int32_t node) {
 void Ring::set_fault(FaultInjector* injector, FaultSite site) {
   fault_ = injector;
   fault_site_ = site;
+  if (hub_ != nullptr) {
+    // An injector consults its RNG even on an idle ring: re-derive our
+    // horizon, and let the injector's own reconfigurations reach the hub.
+    if (injector != nullptr) injector->set_wake_hub(hub_);
+    hub_->ring_activity(*this);
+  }
 }
 
 void Ring::set_metrics(obs::MetricsRegistry* registry,

@@ -6,19 +6,24 @@
 //  - run_dense: the reference loop — every component ticks every cycle.
 //  - run (wake-list): each component's event horizon (the earliest cycle
 //    at which its next tick could have an externally visible effect,
-//    Component::next_event) is CACHED in a flat calendar and only
-//    re-queried when its owner ticked or was woken through WakeHub
-//    (sim/wake.hpp). Each cycle ticks ONLY the components whose cached
-//    horizon is due — partial quiescence falls out for free (idle tiles
-//    sleep while the accelerator chain streams) — and when nothing is due,
-//    now_ jumps straight to the calendar minimum, a branch-free integer
-//    min-scan. (A min-heap calendar was measured and rejected: with a
-//    dozen-odd slots, re-arming every active slot each cycle churns the
-//    heap harder than scanning the whole table costs.)
+//    Component::next_event) is CACHED in a calendar and only re-queried
+//    when its owner ticked or was woken through WakeHub (sim/wake.hpp).
+//    Each cycle ticks ONLY the components whose cached horizon is due —
+//    partial quiescence falls out for free (idle tiles sleep while the
+//    accelerator chain streams) — and when nothing is due, now_ jumps
+//    straight to the calendar minimum. Parked slots (horizon kNeverCycle)
+//    cost nothing: an armed-slot bitmap, one bit per slot whose horizon is
+//    finite, drives both the active-cycle scan and the minimum, so the work
+//    per active cycle is O(due slots), however many departed sessions'
+//    tiles stay registered. (A min-heap calendar was measured and
+//    rejected: with a dozen-odd busy slots, re-arming every active slot
+//    each cycle churns the heap harder than walking the armed bits costs.)
 //    Exactness rests on two rules:
 //      1. no component may act before its cached horizon unless woken, so
 //         every interaction point (C-FIFO push/pop, ring inject/eject,
-//         gateway callbacks, fault triggers) must route a wake;
+//         gateway callbacks, fault triggers) must route a wake — and so
+//         must every mutator that can lower a parked horizon BETWEEN runs
+//         (cached horizons survive from one run() call to the next);
 //      2. waking EARLY is always exact (an extra tick is dense behaviour);
 //         only a missed wake — acting later than dense would — diverges.
 //    Frozen components are synchronized lazily: skip_to replays the
@@ -29,6 +34,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -52,12 +59,15 @@ struct StepperStats {
   std::int64_t component_ticks = 0;  // Component::tick calls (both steppers)
   std::int64_t horizon_queries = 0;  // next_event consultations
   std::int64_t wakes = 0;            // wake notifications delivered
+  std::int64_t calendar_visits = 0;  // armed slots examined (scan, next_due)
+  std::int64_t rearms = 0;           // slots armed at now (prepare, add)
+  std::int64_t sync_visits = 0;      // components visited by sync_all
 };
 
 /// Which stepper advances the system (both are cycle-exact).
 enum class StepperKind {
   kDense = 0,     // reference semantics, every component every cycle
-  kWakeList = 1,  // cached horizons, selective ticking, O(active)
+  kWakeList = 1,  // cached horizons, selective ticking, O(due slots)
 };
 
 class System final : public WakeHub {
@@ -67,13 +77,15 @@ class System final : public WakeHub {
   [[nodiscard]] DualRing& ring() { return ring_; }
   [[nodiscard]] const DualRing& ring() const { return ring_; }
 
-  /// Construct and own a component; ticked in creation order.
+  /// Construct and own a component; ticked in creation order. Between
+  /// wake-list runs it gets a fresh slot armed at now(); the other slots
+  /// keep their cached horizons.
   template <typename T, typename... Args>
   T& add(Args&&... args) {
     auto p = std::make_unique<T>(std::forward<Args>(args)...);
     T& ref = *p;
     components_.push_back(std::move(p));
-    wake_ready_ = false;
+    if (wake_ready_) append_slot();
     return ref;
   }
 
@@ -81,7 +93,6 @@ class System final : public WakeHub {
   template <typename... Args>
   CFifo& add_fifo(Args&&... args) {
     fifos_.push_back(std::make_unique<CFifo>(std::forward<Args>(args)...));
-    wake_ready_ = false;
     return *fifos_.back();
   }
 
@@ -90,7 +101,7 @@ class System final : public WakeHub {
   void run(Cycle cycles) {
     const Cycle end = now_ + cycles;
     begin_wake_run();
-    Cycle due = now_;  // begin_wake_run schedules every slot at now_
+    Cycle due = now_;  // the first scan finds the earliest due slot itself
     while (now_ < end) {
       if (due > now_) {
         const Cycle target = std::min(due, end);
@@ -195,7 +206,11 @@ class System final : public WakeHub {
     if (!wake_ready_) return;
     // prepare_wake stamped the slot index on the component; only this
     // system installs component hubs, so the index is always ours.
-    wake_slot(c.wake_slot());
+    const std::size_t idx = c.wake_slot();
+    // A wake outside a cycle scan comes from a mutator between runs, which
+    // may have changed the component's wake-safety (ProcessorTile::add_task).
+    if (!processing_) classify(idx);
+    wake_slot(idx);
   }
 
   void ring_activity(Ring& r) override {
@@ -225,79 +240,134 @@ class System final : public WakeHub {
  private:
   /// Scheduling slot per unit: components 0..n-1 in registration order,
   /// then the data ring, then the credit ring — matching the dense tick
-  /// order, which the active-cycle scan preserves by visiting slots in
-  /// ascending index order.
+  /// order, which the active-cycle scan preserves by visiting armed slots
+  /// in ascending index order.
   struct Slot {
     Cycle at = 0;       // authoritative scheduled cycle (kNeverCycle = parked)
     Cycle synced = -1;  // last cycle whose accounting is settled
   };
 
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kWordBits = 64;
 
   [[nodiscard]] std::size_t data_slot() const { return slots_.size() - 2; }
   [[nodiscard]] std::size_t credit_slot() const { return slots_.size() - 1; }
 
+  [[nodiscard]] static std::uint64_t slot_bit(std::size_t idx) {
+    return std::uint64_t{1} << (idx % kWordBits);
+  }
+
   // --- Wake-list core ----------------------------------------------------
 
-  /// (Re)build the wake-list bookkeeping: slot table, component index,
-  /// ring-node routing and hub installation. Invalidated by add/add_fifo
-  /// and by run_dense (which advances state without maintaining cached
-  /// horizons).
+  /// (Re)build the wake-list bookkeeping — slot table, armed-slot bitmap,
+  /// ring-node routing and hub installation — with every slot armed at
+  /// now_, so the first cycle is fully dense. Runs on the first wake-list
+  /// run and on the first one after run_dense (which advances state
+  /// without maintaining cached horizons); add() extends it in place.
   void prepare_wake() {
     const std::size_t n = components_.size();
-    slots_.assign(n + 2, Slot{});
+    slots_.assign(n + 2, Slot{now_, now_ - 1});
+    armed_.assign((n + 2 + kWordBits - 1) / kWordBits, 0);
+    for (std::size_t i = 0; i < n + 2; ++i)
+      armed_[i / kWordBits] |= slot_bit(i);
     unsafe_.clear();
     unsafe_mask_.assign(n, false);
     node_owner_.assign(static_cast<std::size_t>(ring_.data().nodes()),
                        kNoSlot);
-    for (std::size_t i = 0; i < n; ++i) {
-      Component* c = components_[i].get();
-      c->set_wake_hub(this, i);
-      if (!c->wake_list_safe()) {
-        unsafe_.push_back(i);
-        unsafe_mask_[i] = true;
-      }
-      const std::int32_t node = c->ring_node();
-      if (node >= 0) {
-        ACC_CHECK_MSG(node < ring_.data().nodes(),
-                      "ring_node out of range for the wake-list scheduler");
-        std::size_t& owner = node_owner_[static_cast<std::size_t>(node)];
-        ACC_CHECK_MSG(owner == kNoSlot,
-                      "two components drain the same ring node");
-        owner = i;
-      }
-    }
+    for (std::size_t i = 0; i < n; ++i) register_slot(i);
     ring_.data().set_wake_hub(this);
     ring_.credit().set_wake_hub(this);
     if (FaultInjector* f = ring_.data().fault()) f->set_wake_hub(this);
     if (FaultInjector* f = ring_.credit().fault()) f->set_wake_hub(this);
-    for (std::size_t i = 0; i < slots_.size(); ++i) slots_[i].synced = now_ - 1;
+    stats_.rearms += static_cast<std::int64_t>(n + 2);
     wake_ready_ = true;
   }
 
-  /// Entry of every wake-list run: make the first cycle fully dense so
-  /// state mutated BETWEEN runs (test scaffolding poking components or
-  /// FIFOs directly, without a wake) is observed before any jump.
+  /// Hub, wake-safety class and ring-node route of component slot `i`.
+  void register_slot(std::size_t i) {
+    Component* c = components_[i].get();
+    c->set_wake_hub(this, i);
+    classify(i);
+    const std::int32_t node = c->ring_node();
+    if (node >= 0) {
+      ACC_CHECK_MSG(node < ring_.data().nodes(),
+                    "ring_node out of range for the wake-list scheduler");
+      std::size_t& owner = node_owner_[static_cast<std::size_t>(node)];
+      ACC_CHECK_MSG(owner == kNoSlot,
+                    "two components drain the same ring node");
+      owner = i;
+    }
+  }
+
+  /// Slot for the component add() just appended, armed at now_. It takes
+  /// the data ring's index; both rings move up one and keep their cached
+  /// horizons and armed bits.
+  void append_slot() {
+    const std::size_t i = components_.size() - 1;
+    const bool data_armed = slots_[i].at != kNeverCycle;
+    const bool credit_armed = slots_[i + 1].at != kNeverCycle;
+    slots_.insert(slots_.begin() + static_cast<std::ptrdiff_t>(i),
+                  Slot{now_, now_ - 1});
+    if (armed_.size() * kWordBits < slots_.size()) armed_.push_back(0);
+    const auto put = [this](std::size_t idx, bool on) {
+      if (on)
+        armed_[idx / kWordBits] |= slot_bit(idx);
+      else
+        armed_[idx / kWordBits] &= ~slot_bit(idx);
+    };
+    put(i, true);
+    put(i + 1, data_armed);
+    put(i + 2, credit_armed);
+    unsafe_mask_.push_back(false);
+    register_slot(i);
+    ++stats_.rearms;
+  }
+
+  /// (Re)classify component slot `idx` as wake-safe or not (see
+  /// Component::wake_list_safe).
+  void classify(std::size_t idx) {
+    const bool unsafe = !components_[idx]->wake_list_safe();
+    if (unsafe == unsafe_mask_[idx]) return;
+    unsafe_mask_[idx] = unsafe;
+    if (unsafe)
+      unsafe_.push_back(idx);
+    else
+      std::erase(unsafe_, idx);
+  }
+
+  /// Entry of every wake-list run. Cached horizons carry over from the
+  /// previous run: state mutated between runs reaches the calendar through
+  /// the same wakes as state mutated mid-run (rule 1 of the file header).
   void begin_wake_run() {
     if (!wake_ready_) prepare_wake();
-    for (Slot& s : slots_) s.at = now_;
   }
 
   /// Earliest authoritative scheduled cycle, or kNeverCycle when every
-  /// slot is parked. A plain min over the calendar: slot counts are small
-  /// (tiles + gateways + two rings), so the scan is a handful of integer
-  /// compares — cheaper per active cycle than maintaining a heap.
-  [[nodiscard]] Cycle next_due() const {
+  /// slot is parked: a min over the armed slots only, so parked slots
+  /// cost nothing.
+  [[nodiscard]] Cycle next_due() {
     Cycle m = kNeverCycle;
-    for (const Slot& s : slots_) m = std::min(m, s.at);
+    std::int64_t visits = 0;
+    for (std::size_t w = 0; w < armed_.size(); ++w) {
+      for (std::uint64_t bits = armed_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t idx =
+            w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+        ++visits;
+        m = std::min(m, slots_[idx].at);
+      }
+    }
+    stats_.calendar_visits += visits;
     return m;
   }
 
   /// Step one ACTIVE cycle: run every due slot in ascending index order
-  /// (components before rings, matching dense). Wakes raised mid-cycle for
-  /// not-yet-scanned slots land at `now_` and are picked up by the same
-  /// scan; wakes for already-passed slots land at now_ + 1 — exactly when
-  /// the dense loop would have let them observe the interaction.
+  /// (components before rings, matching dense), walking the armed bits
+  /// only. Wakes raised mid-cycle for not-yet-scanned slots land at `now_`
+  /// and are picked up by the same scan — a wake that lowers a slot sets
+  /// lowered_, and the scan re-reads the rest of the current word (later
+  /// words are read fresh anyway); wakes for already-passed slots land at
+  /// now_ + 1 — exactly when the dense loop would have let them observe
+  /// the interaction.
   ///
   /// Returns the earliest due cycle after the step (the next_due() scan is
   /// fused into the processing scan — one calendar pass per active cycle
@@ -311,19 +381,33 @@ class System final : public WakeHub {
   [[nodiscard]] Cycle step_wake_cycle() {
     const Cycle t = now_;
     processing_ = true;
+    lowered_ = false;
     wake_floor_min_ = kNeverCycle;
     Cycle min_next = kNeverCycle;
+    std::int64_t visits = 0;  // kept local: run_slot's calls would spill it
     bool any = false;
-    for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
-      if (slots_[idx].at > t) {
+    for (std::size_t w = 0; w < armed_.size(); ++w) {
+      std::uint64_t bits = armed_[w];
+      while (bits != 0) {
+        const auto b = static_cast<std::size_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        const std::size_t idx = w * kWordBits + b;
+        ++visits;
+        if (slots_[idx].at > t) {
+          min_next = std::min(min_next, slots_[idx].at);
+          continue;
+        }
+        any = true;
+        processing_pos_ = idx;
+        run_slot(idx, t);
         min_next = std::min(min_next, slots_[idx].at);
-        continue;
+        if (lowered_) {
+          lowered_ = false;
+          bits = armed_[w] & ~((std::uint64_t{2} << b) - 1);
+        }
       }
-      any = true;
-      processing_pos_ = idx;
-      run_slot(idx, t);
-      min_next = std::min(min_next, slots_[idx].at);
     }
+    stats_.calendar_visits += visits;
     if (!any) {
       // Stale minimum (a horizon was raised since it was computed): no
       // slot was due, nothing ticked — report the fresh minimum only.
@@ -354,7 +438,7 @@ class System final : public WakeHub {
       ++stats_.component_ticks;
       c.tick(t);
       if (unsafe_mask_[idx]) {
-        s.at = kNeverCycle;  // re-queried after the cycle completes
+        set_at(idx, kNeverCycle);  // re-queried after the cycle completes
         return;
       }
       ++stats_.horizon_queries;
@@ -369,21 +453,35 @@ class System final : public WakeHub {
     }
   }
 
+  /// Cache `at` for slot `idx`. The armed bit flips only when the slot
+  /// moves between parked (kNeverCycle) and armed.
+  void set_at(std::size_t idx, Cycle at) {
+    Slot& s = slots_[idx];
+    if ((s.at == kNeverCycle) != (at == kNeverCycle))
+      armed_[idx / kWordBits] ^= slot_bit(idx);
+    s.at = at;
+  }
+
   /// Cache horizon `h` for `idx`, clamped to `floor` (kNeverCycle parks
   /// the slot out of the calendar until a wake).
   void schedule_horizon(std::size_t idx, Cycle h, Cycle floor) {
-    slots_[idx].at = h == kNeverCycle ? kNeverCycle : std::max(h, floor);
+    set_at(idx, h == kNeverCycle ? kNeverCycle : std::max(h, floor));
   }
 
   /// Deliver a wake: schedule the slot at now_ — or now_ + 1 if this cycle
   /// already processed it (the dense loop, too, would only let it react
-  /// next cycle). Never moves a slot later.
+  /// next cycle). Never moves a slot later. Whether the woken slot was
+  /// parked is a coin flip on busy chains, so every lowering wake sets its
+  /// armed bit (a no-op unless it was parked) and sets lowered_: on the PAL
+  /// decode, a branch on the old horizon cost more than the spare re-reads.
   void wake_slot(std::size_t idx) {
     ++stats_.wakes;
     const Cycle target =
         processing_ && idx <= processing_pos_ ? now_ + 1 : now_;
     Slot& s = slots_[idx];
     if (target < s.at) {
+      armed_[idx / kWordBits] |= slot_bit(idx);
+      lowered_ = true;
       s.at = target;
       wake_floor_min_ = std::min(wake_floor_min_, target);
     }
@@ -400,14 +498,17 @@ class System final : public WakeHub {
     schedule_horizon(idx, r.next_event(), floor);
     // Keep the fused next-due minimum sound if this LOWERED a slot the
     // processing scan already visited (raises are covered by the stale-
-    // minimum rescan in step_wake_cycle).
+    // minimum rescan in step_wake_cycle), and let the scan re-read the
+    // current word in case this un-parked a ring slot.
     wake_floor_min_ = std::min(wake_floor_min_, slots_[idx].at);
+    lowered_ = true;
   }
 
   /// Settle every frozen slot's lazily-deferred accounting through
   /// `upto - 1` (callers read counters and stats after run()/run_until()
   /// returns, and predicates read them at evaluation points).
   void sync_all(Cycle upto) {
+    stats_.sync_visits += static_cast<std::int64_t>(components_.size());
     for (std::size_t i = 0; i < components_.size(); ++i) {
       Slot& s = slots_[i];
       if (s.synced < upto - 1) {
@@ -428,10 +529,12 @@ class System final : public WakeHub {
   // Wake-list state (valid while wake_ready_).
   bool wake_ready_ = false;
   std::vector<Slot> slots_;
+  std::vector<std::uint64_t> armed_;     // bit per slot whose at is finite
   std::vector<std::size_t> node_owner_;  // ring node -> component slot
   std::vector<std::size_t> unsafe_;      // wake-unsafe component slots
   std::vector<bool> unsafe_mask_;
   bool processing_ = false;        // inside step_wake_cycle
+  bool lowered_ = false;           // a wake or requery lowered a slot
   std::size_t processing_pos_ = 0; // slot currently (or last) run this cycle
   Cycle wake_floor_min_ = kNeverCycle;  // lowest at lowered mid-cycle
 };

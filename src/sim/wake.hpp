@@ -6,8 +6,11 @@
 // interaction point (a C-FIFO push/pop, a ring injection or delivery, a
 // gateway's pipeline-idle callback, a fault-injector trigger) reports the
 // interaction through this interface so a frozen component can never miss
-// input. The System implements the hub; passive objects hold a nullable
-// pointer, and the dense stepper ignores every notification.
+// input. Cached horizons also survive from one System::run call to the
+// next, so a mutator called BETWEEN runs that can lower one (a stream or
+// task added, a tile wired, a fault law attached or reconfigured) reports
+// through here too. The System implements the hub; passive objects hold a
+// nullable pointer, and the dense stepper ignores every notification.
 //
 // Safety rule the hub relies on (see docs/performance.md): scheduling a
 // component EARLIER than necessary is always exact — an extra tick is dense

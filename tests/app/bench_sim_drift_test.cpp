@@ -25,7 +25,8 @@ namespace {
 constexpr const char* kDeterministicFields[] = {
     "cycles",          "dense_ticks",     "skips",
     "skipped_cycles",  "component_ticks", "horizon_queries",
-    "wakes",           "sink_samples",    "source_drops",
+    "wakes",           "calendar_visits", "rearms",
+    "sync_visits",     "sink_samples",    "source_drops",
     "sink_underruns",  "blocks",          "audio_checksum"};
 
 constexpr const char* kRegenerate =

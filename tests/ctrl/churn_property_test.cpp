@@ -34,7 +34,7 @@ TEST(ChurnProperty, SteppersStayBitIdenticalThroughChurn) {
   ASSERT_EQ(res.runs.size(), 2u);
   EXPECT_TRUE(res.equivalent);
   const app::ChurnRunResult& ref = res.runs.back();
-  EXPECT_EQ(ref.stepper, sim::StepperKind::kWakeList);
+  EXPECT_EQ(ref.kind, sim::StepperKind::kWakeList);
   for (const app::ChurnRunResult& r : res.runs) {
     EXPECT_EQ(r.cycles_run, ref.cycles_run);
     EXPECT_EQ(r.digest, ref.digest);
@@ -44,6 +44,34 @@ TEST(ChurnProperty, SteppersStayBitIdenticalThroughChurn) {
   }
   EXPECT_GT(ref.mode_changes, 0);
   EXPECT_GT(ref.samples_delivered, 0);
+}
+
+TEST(ChurnProperty, WakeListWalksOnlyArmedSlots) {
+  // The E14 default trace: departed sessions' source and sink tiles stay
+  // registered and parked. The calendar walk must not pay for them — each
+  // horizon query caches at most one armed slot, and the walk visits each
+  // armed slot at most about twice (the active-cycle scan and the next
+  // jump's minimum).
+  const app::ChurnConfig cfg = app::small_churn_config();
+  const app::ChurnRunResult r =
+      app::run_admission_churn(cfg, sim::StepperKind::kWakeList);
+  const sim::StepperStats& s = r.stepper;
+  EXPECT_GT(s.calendar_visits, 0);
+  EXPECT_LE(s.calendar_visits, 2 * s.horizon_queries);
+  // Slots are armed at now only when the bookkeeping is built (the chain's
+  // accelerators, both gateways and both rings, at the first run) and
+  // when add() appends a component (a source and a sink per session).
+  const auto chain_slots =
+      static_cast<std::int64_t>(cfg.accel_cycles.size()) + 2 + 2;
+  EXPECT_EQ(s.rearms, chain_slots + 2 * r.accepts);
+  EXPECT_GT(s.sync_visits, 0);
+
+  const app::ChurnRunResult dense =
+      app::run_admission_churn(cfg, sim::StepperKind::kDense);
+  EXPECT_EQ(dense.digest, r.digest);
+  EXPECT_EQ(dense.stepper.calendar_visits, 0);
+  EXPECT_EQ(dense.stepper.rearms, 0);
+  EXPECT_EQ(dense.stepper.sync_visits, 0);
 }
 
 TEST(ChurnProperty, BenchDocIsByteIdenticalAcrossJobs) {

@@ -17,20 +17,31 @@
 //      sink on every push — received flits, DAC timestamps, counters and
 //      the metrics snapshot match dense, under run() and run_until();
 //   5. a lone hinted processor task sleeps through its budget-exhausted
-//      gaps and still invokes exactly as often as under dense.
+//      gaps and still invokes exactly as often as under dense;
+//   6. cached horizons survive from one run() call to the next, so every
+//      mutator that can lower a parked horizon between runs routes a wake
+//      (WakeListBetweenRuns.*: one test per mutator that needs its wake);
+//   7. parked slots cost no calendar visits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "sim/accel_tile.hpp"
 #include "sim/cfifo.hpp"
+#include "sim/chain_builder.hpp"
 #include "sim/fault.hpp"
 #include "sim/proc_tile.hpp"
 #include "sim/system.hpp"
+#include "sim/trace.hpp"
+
+#include "../support/random_chain.hpp"
 
 namespace acc::sim {
 namespace {
@@ -442,6 +453,402 @@ TEST(WakeListEdge, LoneHintedTaskInvocationsMatchDense) {
   const auto dense = run(StepperKind::kDense);
   EXPECT_GT(dense.first, 0);
   EXPECT_EQ(run(StepperKind::kWakeList), dense);
+}
+
+// --- 6. mutations between runs ---------------------------------------------
+
+/// What a between-runs scenario leaves behind: the state digest, its
+/// counters and what it delivered (cycle, value).
+struct BetweenRuns {
+  std::uint64_t digest = 0;
+  std::vector<std::int64_t> counters;
+  std::vector<std::pair<Cycle, std::int64_t>> delivered;
+  StepperStats stats;
+};
+
+/// Runs `scenario` under both steppers and checks the wake-list outcome
+/// against dense; returns the dense one so callers can check it is not
+/// vacuous.
+template <typename Scenario>
+BetweenRuns expect_matches_dense(const Scenario& scenario) {
+  const BetweenRuns dense = scenario(StepperKind::kDense);
+  const BetweenRuns wake = scenario(StepperKind::kWakeList);
+  EXPECT_EQ(wake.digest, dense.digest);
+  EXPECT_EQ(wake.counters, dense.counters);
+  EXPECT_EQ(wake.delivered, dense.delivered);
+  // The wake-list runs really parked slots and skipped cycles.
+  EXPECT_GT(wake.stats.skipped_cycles, 0);
+  return dense;
+}
+
+/// A one-accelerator gateway chain streaming into a DAC sink.
+struct ChainRig {
+  explicit ChainRig(const ChainConfig& cc)
+      : chain(build_gateway_chain(sys, cc)) {}
+
+  /// One 8-sample block, pushed at now() before any stream watches `in`.
+  void push_block() {
+    for (Flit i = 0; i < 8; ++i) in.push(sys.now(), 100 + i);
+  }
+  void add_stream() {
+    chain.add_stream({0, "s", 8, 8, &in, &out, /*reconfig=*/10},
+                     testsupport::passes(1));
+  }
+
+  [[nodiscard]] BetweenRuns outcome() const {
+    BetweenRuns r;
+    r.digest = sys.state_digest();
+    const GatewayStats& g = chain.entry->stats();
+    r.counters = {g.blocks,          g.samples_forwarded,
+                  g.data_cycles,     g.reconfig_cycles,
+                  g.wait_cycles,     g.notify_timeouts,
+                  g.notify_retries,  g.notify_recoveries,
+                  g.credit_stalls,   g.credit_stall_cycles,
+                  chain.exit->samples_delivered(), sink.underruns()};
+    for (std::size_t i = 0; i < sink.received().size(); ++i)
+      r.delivered.emplace_back(sink.timestamps()[i], sink.received()[i]);
+    r.stats = sys.stepper_stats();
+    return r;
+  }
+
+  System sys{4};
+  GatewayChain chain;
+  CFifo& in = sys.add_fifo("in", 16, 1, 1);
+  CFifo& out = sys.add_fifo("out", 16, 1, 1);
+  SinkTile& sink = sys.add<SinkTile>("snk", out, /*period=*/16,
+                                     /*prefill=*/8);
+};
+
+TEST(WakeListBetweenRuns, AddStreamFindsABlockAlreadyWaiting) {
+  // The entry gateway parks while it has no stream. A block pushed before
+  // the stream exists announces itself to nobody: only add_stream's own
+  // wake gets the gateway to admit it.
+  const BetweenRuns dense = expect_matches_dense([](StepperKind kind) {
+    ChainConfig cc;
+    cc.epsilon = 2;
+    ChainRig rig(cc);
+    rig.sys.run_with(kind, 100);
+    rig.push_block();
+    rig.add_stream();
+    rig.sys.run_with(kind, 2000);
+    return rig.outcome();
+  });
+  EXPECT_EQ(dense.delivered.size(), 8u);
+}
+
+/// A task that pops one sample from `f` per invocation (cost 1), logging
+/// (cycle, value). `watch` declares `f` as its wake FIFO.
+Task pop_task(std::string name, CFifo& f, bool watch,
+              std::vector<std::pair<Cycle, std::int64_t>>& log) {
+  Task t;
+  t.name = std::move(name);
+  t.budget = 1000;
+  t.invoke = [&f, &log](Cycle now) -> Cycle {
+    if (!f.can_pop(now)) return 0;
+    log.emplace_back(now, f.pop(now));
+    return 1;
+  };
+  t.next_ready = [&f](Cycle now) { return f.when_fill_visible(1, now); };
+  if (watch) t.wake_on_push = {&f};
+  return t;
+}
+
+TEST(WakeListBetweenRuns, AddTaskOnAParkedTile) {
+  // A tile without tasks parks; the task added between runs is ready at
+  // once (no hint), so only add_task's wake can start it.
+  const BetweenRuns dense = expect_matches_dense([](StepperKind kind) {
+    std::int64_t left = 8;
+    System sys(2);
+    auto& pt = sys.add<ProcessorTile>("pt", /*replenish=*/100);
+    sys.run_with(kind, 50);
+    Task t;
+    t.name = "eight";
+    t.budget = 1000;
+    t.invoke = [&left](Cycle) -> Cycle {
+      if (left == 0) return 0;
+      --left;
+      return 10;
+    };
+    pt.add_task(std::move(t));
+    sys.run_with(kind, 500);
+    BetweenRuns r;
+    r.digest = sys.state_digest();
+    r.counters = {pt.invocations(0), pt.busy_cycles(), left};
+    r.stats = sys.stepper_stats();
+    return r;
+  });
+  EXPECT_EQ(dense.counters[0], 8);
+}
+
+TEST(WakeListBetweenRuns, LateHintedTaskWithoutWakeFifosIsRequeried) {
+  // The tile's first task declares its wake FIFO, so the tile starts out
+  // wake-safe. The late task pops `f` with a next_ready hint but declares
+  // no wake FIFO: the tile turns wake-unsafe, and the System must
+  // re-classify it when add_task's wake reaches it — the source's pushes
+  // into `f` wake nobody.
+  const BetweenRuns dense = expect_matches_dense([](StepperKind kind) {
+    std::vector<std::pair<Cycle, std::int64_t>> first_log;
+    std::vector<std::pair<Cycle, std::int64_t>> late_log;
+    System sys(2);
+    CFifo& f = sys.add_fifo("f", 64, 1, 1);
+    CFifo& g = sys.add_fifo("g", 64, 1, 1);
+    std::vector<Flit> payload(20);
+    std::iota(payload.begin(), payload.end(), Flit{1});
+    sys.add<SourceTile>("src", f, payload, /*period=*/20, /*start_at=*/20);
+    auto& pt = sys.add<ProcessorTile>("pt", /*replenish=*/1000);
+    pt.add_task(pop_task("first", g, /*watch=*/true, first_log));
+    sys.run_with(kind, 10);
+    pt.add_task(pop_task("late", f, /*watch=*/false, late_log));
+    sys.run_with(kind, 400);
+    BetweenRuns r;
+    r.digest = sys.state_digest();
+    r.counters = {pt.invocations(0), pt.invocations(1), pt.busy_cycles()};
+    r.delivered = late_log;
+    r.stats = sys.stepper_stats();
+    return r;
+  });
+  EXPECT_EQ(dense.counters[1], 20);
+}
+
+TEST(WakeListBetweenRuns, CreditStallThresholdLoweredMidStarvation) {
+  // A slow accelerator (400 cycles per sample) starves the entry gateway
+  // of credits for hundreds of cycles. Under a huge threshold the starved
+  // gateway parks until the credit comes back; lowering the threshold
+  // between runs must trace the ongoing stall at once, as dense does.
+  const BetweenRuns dense = expect_matches_dense([](StepperKind kind) {
+    ChainConfig cc;
+    cc.epsilon = 2;
+    cc.accel_cycles = {400};
+    ChainRig rig(cc);
+    rig.chain.entry->set_credit_stall_threshold(100000);
+    rig.push_block();
+    rig.add_stream();
+    rig.sys.run_with(kind, 150);
+    rig.chain.entry->set_credit_stall_threshold(5);
+    rig.sys.run_with(kind, 6000);
+    return rig.outcome();
+  });
+  EXPECT_EQ(dense.delivered.size(), 8u);
+  EXPECT_GT(dense.counters[8], 0);  // credit_stalls
+}
+
+TEST(WakeListBetweenRuns, RetryPolicyEnabledWhileDraining) {
+  // Every pipeline-idle notification is dropped, so without recovery the
+  // entry gateway drains forever and parks. Enabling recovery between
+  // runs must start the polls at once.
+  const BetweenRuns dense = expect_matches_dense([](StepperKind kind) {
+    FaultInjector inj(7);
+    FaultSpec drop;
+    drop.drop_probability = 1.0;
+    inj.configure(FaultSite::kExitNotify, drop);
+    ChainConfig cc;
+    cc.epsilon = 2;
+    cc.fault = &inj;
+    ChainRig rig(cc);
+    rig.push_block();
+    rig.add_stream();
+    rig.sys.run_with(kind, 2000);
+    GatewayRetryPolicy retry;
+    retry.notify_timeout = 50;
+    rig.chain.entry->set_retry_policy(retry);
+    rig.sys.run_with(kind, 2000);
+    return rig.outcome();
+  });
+  EXPECT_EQ(dense.counters[0], 1);  // blocks
+  EXPECT_EQ(dense.counters[7], 1);  // notify_recoveries
+}
+
+/// One accelerator tile at node 1 holding two samples it received from
+/// node 0; NodeObservers drain node 0 (credits returned upstream) and
+/// node 2 (forwarded output).
+struct TileRig {
+  TileRig() {
+    tile.register_context(0, std::make_unique<testsupport::Pass>());
+    for (const Flit f : {Flit{11}, Flit{22}}) {
+      RingMsg m;
+      m.dst = 1;
+      m.tag = 1;
+      m.payload = f;
+      ACC_CHECK(sys.ring().data().try_inject(0, m));
+    }
+  }
+
+  [[nodiscard]] BetweenRuns outcome() const {
+    BetweenRuns r;
+    r.digest = sys.state_digest();
+    r.counters = {tile.samples_processed(), tile.busy_cycles(),
+                  tile.credits(), tile.pending_returns()};
+    for (const auto& [at, v] : down.data_log()) r.delivered.emplace_back(at, v);
+    for (const auto& [at, n] : up.credit_log()) r.delivered.emplace_back(at, n);
+    r.stats = sys.stepper_stats();
+    return r;
+  }
+
+  System sys{4};
+  NodeObserver& up = sys.add<NodeObserver>(sys.ring(), 0);
+  AcceleratorTile& tile = sys.add<AcceleratorTile>(
+      "acc", sys.ring(), 1, /*cycles_per_sample=*/3, /*ni_capacity=*/2);
+  NodeObserver& down = sys.add<NodeObserver>(sys.ring(), 2);
+};
+
+TEST(WakeListBetweenRuns, DownstreamWiredWhileOutputWaits) {
+  // Unwired downstream: the tile processes both samples, holds the output
+  // and parks. Wiring it between runs must forward the output at once.
+  const BetweenRuns dense = expect_matches_dense([](StepperKind kind) {
+    TileRig rig;
+    rig.tile.set_upstream(0, 1);
+    rig.sys.run_with(kind, 200);
+    rig.tile.set_downstream(2, 2, /*credits=*/2);
+    rig.sys.run_with(kind, 200);
+    return rig.outcome();
+  });
+  EXPECT_EQ(dense.delivered.size(), 4u);  // two samples, two credit returns
+}
+
+TEST(WakeListBetweenRuns, UpstreamWiredWhileCreditsAreOwed) {
+  // Unwired upstream: the tile forwards both samples but owes their
+  // credits and parks. Wiring it between runs must return them at once.
+  const BetweenRuns dense = expect_matches_dense([](StepperKind kind) {
+    TileRig rig;
+    rig.tile.set_downstream(2, 2, /*credits=*/2);
+    rig.sys.run_with(kind, 200);
+    rig.tile.set_upstream(0, 1);
+    rig.sys.run_with(kind, 200);
+    return rig.outcome();
+  });
+  EXPECT_EQ(dense.counters[3], 0);        // no credit return left owing
+  EXPECT_EQ(dense.delivered.size(), 4u);  // two samples, two credit returns
+}
+
+/// The ring-link fault law of the scenarios below (as in scenario 3).
+FaultSpec ring_link_spec() {
+  FaultSpec spec;
+  spec.probability = 0.5;
+  spec.max_delay = 3;
+  spec.min_spacing = 11;
+  spec.window_from = 20;
+  spec.window_until = 1500;
+  return spec;
+}
+
+/// Sparse pings from node 0 to a NodeObserver at node 2 (one per 60
+/// cycles): the rings idle between them, where only the fault injector's
+/// consults keep them due.
+struct PingRig {
+  [[nodiscard]] BetweenRuns outcome(const FaultInjector& inj) const {
+    BetweenRuns r;
+    r.digest = sys.state_digest();
+    const FaultSiteStats& f = inj.stats(FaultSite::kRingLink);
+    r.counters = {f.consults, f.injected, f.delay_cycles,
+                  sys.ring().data().stall_cycles(),
+                  sys.ring().credit().stall_cycles()};
+    for (const auto& [at, v] : obs.data_log()) r.delivered.emplace_back(at, v);
+    r.stats = sys.stepper_stats();
+    return r;
+  }
+
+  System sys{4};
+  PeriodicPinger& pinger = sys.add<PeriodicPinger>(
+      sys.ring(), 0, 2, /*period=*/60, /*count=*/20);
+  NodeObserver& obs = sys.add<NodeObserver>(sys.ring(), 2);
+};
+
+TEST(WakeListBetweenRuns, FaultInjectorAttachedToAnIdleRing) {
+  // Fault-free, the idle rings park between pings. An injector attached
+  // between runs consults its RNG on every eligible idle cycle; only
+  // Ring::set_fault's ring_activity re-derives the parked ring horizons.
+  const BetweenRuns dense = expect_matches_dense([](StepperKind kind) {
+    FaultInjector inj(11);
+    inj.configure(FaultSite::kRingLink, ring_link_spec());
+    PingRig rig;
+    rig.sys.run_with(kind, 100);
+    rig.sys.ring().set_fault(&inj);
+    rig.sys.run_with(kind, 1500);
+    return rig.outcome(inj);
+  });
+  EXPECT_GT(dense.counters[0], 0);  // consults
+  EXPECT_EQ(dense.delivered.size(), 20u);
+}
+
+TEST(WakeListBetweenRuns, RingFaultConfiguredBetweenRuns) {
+  // An injector with no ring-link law leaves the idle rings parked;
+  // configuring one between runs opens an eligibility window at once. The
+  // injector is attached before the first run (prepare_wake hands it the
+  // hub) or between runs (Ring::set_fault hands it the ring's hub).
+  for (const bool late_attach : {false, true}) {
+    SCOPED_TRACE(late_attach ? "attached between runs"
+                             : "attached before the first run");
+    const BetweenRuns dense =
+        expect_matches_dense([late_attach](StepperKind kind) {
+          FaultInjector inj(11);
+          PingRig rig;
+          if (!late_attach) rig.sys.ring().set_fault(&inj);
+          rig.sys.run_with(kind, 100);
+          if (late_attach) {
+            rig.sys.ring().set_fault(&inj);
+            rig.sys.run_with(kind, 100);
+          }
+          inj.configure(FaultSite::kRingLink, ring_link_spec());
+          rig.sys.run_with(kind, 1400);
+          return rig.outcome(inj);
+        });
+    EXPECT_GT(dense.counters[0], 0);  // consults
+    EXPECT_EQ(dense.delivered.size(), 20u);
+  }
+}
+
+// --- 7. parked slots cost no calendar visits -------------------------------
+
+struct ParkedOutcome {
+  std::string trace;
+  std::uint64_t digest = 0;
+  std::int64_t first_cycle_visits = 0;
+  std::int64_t later_visits = 0;
+};
+
+/// The AddStream chain with a source, plus `parked` exhausted sources
+/// (empty payloads) that park after their first tick. One cycle is run
+/// first, then the rest, so the visits of each part can be told apart.
+ParkedOutcome run_parked(StepperKind kind, int parked) {
+  TraceLog trace;
+  ChainConfig cc;
+  cc.epsilon = 2;
+  cc.trace = &trace;
+  ChainRig rig(cc);
+  rig.add_stream();
+  std::vector<Flit> payload(32);
+  std::iota(payload.begin(), payload.end(), Flit{1});
+  rig.sys.add<SourceTile>("src", rig.in, payload, /*period=*/6);
+  for (int i = 0; i < parked; ++i) {
+    CFifo& f = rig.sys.add_fifo("p" + std::to_string(i), 4);
+    rig.sys.add<SourceTile>("p" + std::to_string(i), f, std::vector<Flit>{},
+                            /*period=*/6);
+  }
+  rig.sys.run_with(kind, 1);
+  const std::int64_t first = rig.sys.stepper_stats().calendar_visits;
+  rig.sys.run_with(kind, 3000);
+  ParkedOutcome o;
+  o.trace = trace.to_csv();
+  o.digest = rig.sys.state_digest();
+  o.first_cycle_visits = first;
+  o.later_visits = rig.sys.stepper_stats().calendar_visits - first;
+  return o;
+}
+
+TEST(WakeListEdge, ParkedSlotsAreNotVisited) {
+  constexpr int kParked = 256;
+  const ParkedOutcome dense = run_parked(StepperKind::kDense, kParked);
+  const ParkedOutcome wake = run_parked(StepperKind::kWakeList, kParked);
+  const ParkedOutcome bare = run_parked(StepperKind::kWakeList, 0);
+  ASSERT_FALSE(dense.trace.empty());
+  EXPECT_EQ(wake.trace, dense.trace);
+  EXPECT_EQ(wake.digest, dense.digest);
+  EXPECT_EQ(dense.first_cycle_visits + dense.later_visits, 0);
+  // The first cycle visits every slot once; after it, the parked sources
+  // are never visited again.
+  EXPECT_EQ(wake.first_cycle_visits, bare.first_cycle_visits + kParked);
+  EXPECT_GT(bare.later_visits, 0);
+  EXPECT_EQ(wake.later_visits, bare.later_visits);
 }
 
 }  // namespace
