@@ -35,6 +35,8 @@ class DecimatingFir final : public StreamKernel {
   std::size_t process_block(std::span<const CQ16> in, std::span<CQ16> out,
                             std::uint8_t* counts = nullptr) override;
   [[nodiscard]] std::vector<std::int32_t> save_state() const override;
+  /// The decimation phase: the delay line and its head are data.
+  [[nodiscard]] std::int64_t control_word() const override { return phase_; }
   void restore_state(std::span<const std::int32_t> state) override;
   void reset() override;
   [[nodiscard]] std::size_t state_words() const override;

@@ -56,6 +56,8 @@ json::Object run_to_json(const SimBenchRun& r) {
   o["calendar_visits"] = r.calendar_visits;
   o["rearms"] = r.rearms;
   o["sync_visits"] = r.sync_visits;
+  o["replays"] = r.replays;
+  o["replayed_cycles"] = r.replayed_cycles;
   o["sink_samples"] = r.sink_samples;
   o["source_drops"] = r.source_drops;
   o["sink_underruns"] = r.sink_underruns;
@@ -113,6 +115,8 @@ SimBenchRun sim_bench_run(const PalSimConfig& pal, sim::StepperKind kind) {
   r.calendar_visits = res.stepper.calendar_visits;
   r.rearms = res.stepper.rearms;
   r.sync_visits = res.stepper.sync_visits;
+  r.replays = res.stepper.replays;
+  r.replayed_cycles = res.stepper.replayed_cycles;
   r.sink_samples = static_cast<std::int64_t>(res.left.size() +
                                              res.right.size());
   r.source_drops = res.source_drops;

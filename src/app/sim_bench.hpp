@@ -47,6 +47,9 @@ struct SimBenchRun {
   std::int64_t calendar_visits = 0;
   std::int64_t rearms = 0;
   std::int64_t sync_visits = 0;
+  // Steady-state replay (zero under dense): jumps and the cycles they cover.
+  std::int64_t replays = 0;
+  std::int64_t replayed_cycles = 0;
   // Outcome digest.
   std::int64_t sink_samples = 0;
   std::int64_t source_drops = 0;

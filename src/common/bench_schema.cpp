@@ -203,6 +203,8 @@ std::vector<std::string> validate_bench_sim(const json::Value& doc) {
                    {"calendar_visits", Kind::kInt},
                    {"rearms", Kind::kInt},
                    {"sync_visits", Kind::kInt},
+                   {"replays", Kind::kInt},
+                   {"replayed_cycles", Kind::kInt},
                    {"sink_samples", Kind::kInt},
                    {"source_drops", Kind::kInt},
                    {"sink_underruns", Kind::kInt},

@@ -84,6 +84,8 @@ void CFifo::push(Cycle now, Flit f) {
   m_pushed_.add();
   m_occupancy_.set(static_cast<std::int64_t>(data_.size()));
   m_occupancy_hist_.observe(static_cast<std::int64_t>(data_.size()));
+  if (journal_ != nullptr && journal_->on)
+    journal_->ops.push_back({now, journal_id_, true});
   for (Component* w : push_watchers_) w->request_wake();
 }
 
@@ -131,6 +133,8 @@ Flit CFifo::pop(Cycle now) {
   ++popped_;
   m_popped_.add();
   m_occupancy_.set(static_cast<std::int64_t>(data_.size()));
+  if (journal_ != nullptr && journal_->on)
+    journal_->ops.push_back({now, journal_id_, false});
   for (Component* w : pop_watchers_) w->request_wake();
   return f;
 }

@@ -27,6 +27,20 @@ namespace acc::sim {
 
 class Component;
 
+/// Log of C-FIFO pushes and pops, in execution order, that the wake-list
+/// stepper keeps while it looks for a repeating period (System::run): a
+/// jump replays the period's operations at their own cycles. `on` gates
+/// recording (only System::run records).
+struct FifoJournal {
+  struct Op {
+    Cycle at;
+    std::uint32_t fifo;  // System-owned index
+    bool push;
+  };
+  bool on = false;
+  std::vector<Op> ops;
+};
+
 class CFifo {
  public:
   CFifo(std::string name, std::int64_t capacity, Cycle read_visibility_lag = 4,
@@ -91,6 +105,13 @@ class CFifo {
   /// software credit. Data is never lost and order is preserved; the other
   /// side just sees the update later (still conservative, still safe).
   void set_fault(FaultInjector* injector) { fault_ = injector; }
+  [[nodiscard]] bool faulty() const { return fault_ != nullptr; }
+
+  /// Record every push/pop into `journal` under index `id` (null detaches).
+  void set_journal(FifoJournal* journal, std::uint32_t id) {
+    journal_ = journal;
+    journal_id_ = id;
+  }
 
   /// Wake-list plumbing (see sim/wake.hpp): a component whose event
   /// horizon depends on this FIFO's fill (a consumer waiting for data)
@@ -101,11 +122,29 @@ class CFifo {
   /// registrations are coalesced.
   void add_push_watcher(Component* c);
   void add_pop_watcher(Component* c);
+  /// Stop waking `c` on pushes (a consumer whose horizon no longer reads
+  /// this FIFO's fill: a started DAC self-schedules).
+  void remove_push_watcher(Component* c) { std::erase(push_watchers_, c); }
 
   /// Canonical state snapshot (see sim/state_hash.hpp): queue contents and
   /// visibility deadlines are frozen protocol state; the lifetime counters
   /// (pushed_/popped_/peak_) are excluded by contract.
+  ///
+  /// In control mode only the entries and credit returns still in flight
+  /// count: how many are already visible is progress, which the replay
+  /// bounds instead (System::run).
   void snapshot_state(StateHasher& h) const {
+    if (h.control_only()) {
+      std::size_t i = data_.size();
+      while (i > 0 && data_[i - 1].visible_at > h.base()) --i;
+      h.mix(static_cast<std::int64_t>(data_.size() - i));
+      for (; i < data_.size(); ++i) h.mix_cycle(data_[i].visible_at);
+      std::size_t j = freed_.size();
+      while (j > 0 && freed_[j - 1] > h.base()) --j;
+      h.mix(static_cast<std::int64_t>(freed_.size() - j));
+      for (; j < freed_.size(); ++j) h.mix_cycle(freed_[j]);
+      return;
+    }
     h.mix(static_cast<std::int64_t>(data_.size()));
     for (std::size_t i = 0; i < data_.size(); ++i) {
       h.mix_cycle(data_[i].visible_at);
@@ -133,6 +172,8 @@ class CFifo {
   RingBuffer<Entry> data_;   // (visible-to-reader-at, flit)
   RingBuffer<Cycle> freed_;  // space visible-to-writer-at
   FaultInjector* fault_ = nullptr;
+  FifoJournal* journal_ = nullptr;
+  std::uint32_t journal_id_ = 0;
   std::vector<Component*> push_watchers_;
   std::vector<Component*> pop_watchers_;
   std::int64_t pushed_ = 0;

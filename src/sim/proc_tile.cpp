@@ -171,6 +171,29 @@ void SourceTile::set_metrics(obs::MetricsRegistry* registry) {
   m_dropped_ = obs::make_counter(registry, p + ".dropped");
 }
 
+bool SourceTile::replay(Replay& r) {
+  if (max_jitter_ > 0) return false;
+  r.produces(out_, *this);
+  auto next = static_cast<std::int64_t>(next_);
+  r.progress(next, static_cast<std::int64_t>(samples_.size()));
+  if (r.applying()) {
+    ACC_CHECK_MSG(static_cast<std::size_t>(next) - next_ == replay_ahead_,
+                  name_ + ": replayed pushes disagree with the period");
+    replay_ahead_ = 0;
+  }
+  next_ = static_cast<std::size_t>(next);
+  r.counter(emitted_);
+  r.quiet(dropped_);
+  r.deadline(next_emit_);
+  r.counter(m_emitted_);
+  r.quiet(m_dropped_);
+  return true;
+}
+
+Flit SourceTile::replay_produce(const CFifo&) {
+  return samples_[next_ + replay_ahead_++];
+}
+
 Cycle SourceTile::next_event(Cycle now) const {
   if (next_ >= samples_.size()) return kNeverCycle;
   return std::max(next_emit_, now + 1);
@@ -191,6 +214,10 @@ void SinkTile::tick(Cycle now) {
     if (in_.when_fill_visible(prefill_, now) <= now) {
       started_ = true;
       next_due_ = now;
+      // From here on the DAC grid alone schedules us: a push no longer can
+      // move our horizon, and a period of the chain feeding us must not
+      // count our idle ticks as its own.
+      in_.remove_push_watcher(this);
     } else {
       return;
     }

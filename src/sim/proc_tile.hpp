@@ -145,9 +145,14 @@ class SourceTile final : public Component {
   /// state). emitted_/dropped_ are lifetime counters (excluded).
   void snapshot_state(StateHasher& h) const override {
     h.mix_cycle(next_emit_);
-    h.mix(static_cast<std::int64_t>(next_));
+    h.mix_progress(static_cast<std::int64_t>(next_));
     h.mix(jitter_state_);
   }
+  /// Steady-state replay: a jitter-free source emits a fixed number of
+  /// samples per period, whose values replay_produce reads ahead from the
+  /// sample list; the jump stops short of the list's end.
+  bool replay(Replay& r) override;
+  Flit replay_produce(const CFifo& f) override;
 
   /// Opt-in metrics: source.<name>.{emitted,dropped}.
   void set_metrics(obs::MetricsRegistry* registry);
@@ -174,6 +179,7 @@ class SourceTile final : public Component {
   std::int64_t dropped_ = 0;
   Cycle max_jitter_ = 0;
   std::uint64_t jitter_state_ = 0;
+  std::size_t replay_ahead_ = 0;  // samples a jump has pushed past next_
   obs::Counter m_emitted_;
   obs::Counter m_dropped_;
 };

@@ -18,6 +18,7 @@
 #include "common/ring_buffer.hpp"
 #include "obs/metrics.hpp"
 #include "sim/flit.hpp"
+#include "sim/replay.hpp"
 #include "sim/state_hash.hpp"
 #include "sim/wake.hpp"
 
@@ -120,6 +121,24 @@ class Ring {
   /// do NOT make the ring busy: the draining tile's next_event (fed by
   /// has_ejected) schedules the pickup, not the ring's.
   [[nodiscard]] bool idle() const { return occupied_ == 0 && queued_ == 0; }
+  /// idle() with no ejected message awaiting pickup either: the ring holds
+  /// nothing at all.
+  [[nodiscard]] bool empty() const { return idle() && pending_eject_ == 0; }
+
+  /// Steady-state replay (sim/replay.hpp): the clock, delivery and hop
+  /// totals grow by a fixed amount per period. The rotation offset is left
+  /// alone — slots are only ever addressed by node, so it is unobservable.
+  /// A fault injector vetoes (its RNG stream is not periodic).
+  bool replay(Replay& r) {
+    if (fault_ != nullptr) return false;
+    r.deadline(now_);
+    r.counter(delivered_);
+    r.counter(stall_cycles_);
+    r.counter(m_injected_);
+    r.counter(m_delivered_);
+    r.counter(m_hops_);
+    return true;
+  }
 
   /// True when ejected messages await `node`'s drain. Components that
   /// drain this node must report now + 1 from their next_event while this
@@ -230,21 +249,21 @@ class Ring {
       if (s.occupied) {
         h.mix(s.msg.dst);
         h.mix(s.msg.tag);
-        h.mix(s.msg.payload);
+        h.mix_payload(s.msg.payload);
       }
       const auto& q = inject_[static_cast<std::size_t>(node)];
       h.mix(static_cast<std::int64_t>(q.size()));
       for (std::size_t i = 0; i < q.size(); ++i) {
         h.mix(q[i].dst);
         h.mix(q[i].tag);
-        h.mix(q[i].payload);
+        h.mix_payload(q[i].payload);
       }
       const auto& e = ejected_[static_cast<std::size_t>(node)];
       h.mix(static_cast<std::int64_t>(e.size()));
       for (const RingMsg& m : e) {
         h.mix(m.dst);
         h.mix(m.tag);
-        h.mix(m.payload);
+        h.mix_payload(m.payload);
       }
     }
     h.mix_cycle(stall_until_);

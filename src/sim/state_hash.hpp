@@ -31,6 +31,14 @@
 // observable statistics, but including them would make every state on a
 // path unique and defeat deduplication. The differential stepper suites
 // already pin them cycle-exactly.
+//
+// The CONTROL mode (StateHasher::control) is the steady-state replay's
+// period detector (System::run, docs/performance.md): it hashes only the
+// state that decides WHEN things happen. mix_payload() (sample values),
+// mix_progress() (cursors that count toward a block's or a source's end)
+// and kernel data words drop out, so two cycles of a streaming block one
+// period apart hash equal. It uses a one-multiply word mix instead of
+// byte-wise FNV; the full mode's digests are unchanged.
 #pragma once
 
 #include <cstdint>
@@ -45,18 +53,39 @@ class StateHasher {
   /// relative to it). Base 0 keeps deadlines absolute.
   explicit StateHasher(std::int64_t base = 0) : base_(base) {}
 
+  /// Control-mode hasher at `base` (see the file header).
+  [[nodiscard]] static StateHasher control(std::int64_t base) {
+    StateHasher h(base);
+    h.control_ = true;
+    return h;
+  }
+
   [[nodiscard]] std::int64_t base() const { return base_; }
+  [[nodiscard]] bool control_only() const { return control_; }
 
   /// Frozen channel: protocol state that must be bit-stable across a
   /// certified-quiescent skip.
-  void mix(std::int64_t v) { frozen_ = fnv(frozen_, static_cast<std::uint64_t>(v)); }
-  void mix(std::uint64_t v) { frozen_ = fnv(frozen_, v); }
+  void mix(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
+  void mix(std::uint64_t v) {
+    frozen_ = control_ ? (frozen_ ^ v) * kWordPrime : fnv(frozen_, v);
+  }
   void mix(std::int32_t v) { mix(static_cast<std::int64_t>(v)); }
   void mix(std::uint32_t v) { mix(static_cast<std::uint64_t>(v)); }
   void mix(bool b) { mix(static_cast<std::int64_t>(b ? 1 : 0)); }
   void mix(std::string_view s) {
     for (const char c : s) frozen_ = fnv(frozen_, static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
     frozen_ = fnv(frozen_, 0x1F);  // length delimiter
+  }
+
+  /// Frozen channel, data-valued: a sample payload (skipped in control
+  /// mode).
+  void mix_payload(std::uint64_t v) {
+    if (!control_) mix(v);
+  }
+  /// Frozen channel, progress-valued: a cursor toward a block's or a
+  /// source's end (skipped in control mode).
+  void mix_progress(std::int64_t v) {
+    if (!control_) mix(v);
   }
 
   /// Frozen channel, deadline-valued: kNeverCycle keeps its sentinel, any
@@ -87,6 +116,7 @@ class StateHasher {
  private:
   static constexpr std::uint64_t kOffset = 1469598103934665603ULL;
   static constexpr std::uint64_t kPrime = 1099511628211ULL;
+  static constexpr std::uint64_t kWordPrime = 0x9E3779B97F4A7C15ULL;
 
   [[nodiscard]] static std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -97,6 +127,7 @@ class StateHasher {
   }
 
   std::int64_t base_;
+  bool control_ = false;
   std::uint64_t frozen_ = kOffset;
   std::uint64_t acct_ = kOffset;
 };

@@ -44,6 +44,13 @@ class WakeHub {
   /// A fault trigger moved `site`'s quiet window: horizons derived from
   /// FaultInjector::next_eligible(site) may have shifted (either way).
   virtual void fault_site_changed(FaultSite site) = 0;
+
+  /// `c` started (`on`) or stopped streaming a block (see
+  /// Component::streaming): the steady-state replay watches only then.
+  virtual void streaming(Component& c, bool on) {
+    (void)c;
+    (void)on;
+  }
 };
 
 }  // namespace acc::sim

@@ -26,8 +26,9 @@ constexpr const char* kDeterministicFields[] = {
     "cycles",          "dense_ticks",     "skips",
     "skipped_cycles",  "component_ticks", "horizon_queries",
     "wakes",           "calendar_visits", "rearms",
-    "sync_visits",     "sink_samples",    "source_drops",
-    "sink_underruns",  "blocks",          "audio_checksum"};
+    "sync_visits",     "replays",         "replayed_cycles",
+    "sink_samples",    "source_drops",    "sink_underruns",
+    "blocks",          "audio_checksum"};
 
 constexpr const char* kRegenerate =
     " — if the change is intended, regenerate " ACC_BENCH_SIM_JSON

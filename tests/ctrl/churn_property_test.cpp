@@ -74,6 +74,16 @@ TEST(ChurnProperty, WakeListWalksOnlyArmedSlots) {
   EXPECT_EQ(dense.stepper.sync_visits, 0);
 }
 
+TEST(ChurnProperty, E14TraceNeverReplays) {
+  // E14's chains stream at epsilon = 2 cycles, shorter than a sample's trip
+  // through the chain: the chain almost never empties between samples, and
+  // no period the steady-state replay looks for ever repeats.
+  const app::ChurnRunResult r = app::run_admission_churn(
+      app::small_churn_config(), sim::StepperKind::kWakeList);
+  EXPECT_EQ(r.stepper.replays, 0);
+  EXPECT_EQ(r.stepper.replayed_cycles, 0);
+}
+
 TEST(ChurnProperty, BenchDocIsByteIdenticalAcrossJobs) {
   app::ChurnConfig one = test_config(60);
   one.jobs = 1;

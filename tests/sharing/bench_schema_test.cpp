@@ -109,7 +109,8 @@ TEST(BenchSchema, SimDocDetectsMissingWakeCounters) {
   // The wake-list instrumentation (ISSUE 6 satellite) is part of the
   // golden schema: dropping any of it is a breach.
   for (const char* key : {"component_ticks", "horizon_queries", "wakes",
-                          "calendar_visits", "rearms", "sync_visits"}) {
+                          "calendar_visits", "rearms", "sync_visits",
+                          "replays", "replayed_cycles"}) {
     json::Value doc = small_sim_doc();
     doc.as_object()["runs"].as_array()[1].as_object().erase(key);
     const std::vector<std::string> problems = validate_bench_sim(doc);
