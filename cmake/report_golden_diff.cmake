@@ -1,7 +1,8 @@
 # Runs a document producer and byte-compares its output against a committed
 # golden document. The documents pinned this way are integer-only by design
 # (the RunReport, see docs/observability.md; the E14 BENCH_admission.json,
-# see docs/control_plane.md), so byte-exactness is the determinism contract
+# see docs/control_plane.md; the E13 BENCH_faults.json, see
+# docs/robustness.md), so byte-exactness is the determinism contract
 # rendered as a test. Invoked from ctest:
 #   cmake "-DCOMMAND=<producer> <args that write OUT>" -DGOLDEN=... -DOUT=...
 #         -DWORKDIR=... -P report_golden_diff.cmake
