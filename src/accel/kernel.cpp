@@ -24,6 +24,13 @@ std::size_t StreamKernel::process_block(std::span<const CQ16> in,
   return n;
 }
 
+std::int64_t StreamKernel::control_word() const {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a over the words
+  for (const std::int32_t w : save_state())
+    h = (h ^ static_cast<std::uint32_t>(w)) * 1099511628211ULL;
+  return static_cast<std::int64_t>(h);
+}
+
 std::vector<CQ16> run_block(StreamKernel& k, std::span<const CQ16> in) {
   std::vector<CQ16> out;
   out.reserve(in.size());

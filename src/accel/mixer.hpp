@@ -28,6 +28,8 @@ class NcoMixer final : public StreamKernel {
   std::size_t process_block(std::span<const CQ16> in, std::span<CQ16> out,
                             std::uint8_t* counts = nullptr) override;
   [[nodiscard]] std::vector<std::int32_t> save_state() const override;
+  /// The NCO phase is data: one output per input.
+  [[nodiscard]] std::int64_t control_word() const override { return 0; }
   void restore_state(std::span<const std::int32_t> state) override;
   void reset() override;
   [[nodiscard]] std::size_t state_words() const override { return 1; }
@@ -59,6 +61,8 @@ class AmDetector final : public StreamKernel {
   std::size_t process_block(std::span<const CQ16> in, std::span<CQ16> out,
                             std::uint8_t* counts = nullptr) override;
   [[nodiscard]] std::vector<std::int32_t> save_state() const override;
+  /// The DC estimate is data: one output per input.
+  [[nodiscard]] std::int64_t control_word() const override { return 0; }
   void restore_state(std::span<const std::int32_t> state) override;
   void reset() override;
   [[nodiscard]] std::size_t state_words() const override { return 1; }
@@ -87,6 +91,8 @@ class FmDiscriminator final : public StreamKernel {
   std::size_t process_block(std::span<const CQ16> in, std::span<CQ16> out,
                             std::uint8_t* counts = nullptr) override;
   [[nodiscard]] std::vector<std::int32_t> save_state() const override;
+  /// The previous sample is data: one output per input.
+  [[nodiscard]] std::int64_t control_word() const override { return 0; }
   void restore_state(std::span<const std::int32_t> state) override;
   void reset() override;
   [[nodiscard]] std::size_t state_words() const override { return 2; }
