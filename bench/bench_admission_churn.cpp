@@ -19,7 +19,8 @@
 //
 // Exit status: 2 on bad usage or lint rejection; 1 if the steppers diverge,
 // an admitted stream misses a deadline, the analysis cache hit rate is not
-// above 50%, or the document breaks its schema; 0 otherwise.
+// above 50%, or the document breaks its schema or cannot be written; 0
+// otherwise.
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -94,20 +95,9 @@ int main(int argc, char** argv) {
   }
   std::cout << t.render() << "\n";
 
-  const json::Value doc = app::admission_bench_doc(cfg, res);
-  const std::vector<std::string> problems = validate_bench_admission(doc);
-  if (!problems.empty()) {
-    std::cerr << "BENCH_admission.json violates its schema:\n";
-    for (const std::string& p : problems) std::cerr << "  " << p << "\n";
+  if (!write_bench_doc(app::admission_bench_doc(cfg, res),
+                       validate_bench_admission, json_path))
     return 1;
-  }
-  std::ofstream out(json_path);
-  out << doc.pretty() << "\n";
-  out.flush();
-  if (out)
-    std::cout << "wrote " << json_path << "\n";
-  else
-    std::cout << "WARNING: could not write " << json_path << "\n";
 
   if (want_metrics)
     std::cout << "\n== wake-list run metrics ==\n" << metrics.snapshot_text();

@@ -76,20 +76,9 @@ int main(int argc, char** argv) {
   }
   std::cout << t.render() << "\n";
 
-  const json::Value doc = app::faults_bench_doc(cfg, res);
-  const std::vector<std::string> problems = validate_bench_faults(doc);
-  if (!problems.empty()) {
-    std::cerr << "BENCH_faults.json violates its schema:\n";
-    for (const std::string& p : problems) std::cerr << "  " << p << "\n";
+  if (!write_bench_doc(app::faults_bench_doc(cfg, res), validate_bench_faults,
+                       json_path))
     return 1;
-  }
-  std::ofstream out(json_path);
-  out << doc.pretty() << "\n";
-  out.flush();
-  if (out)
-    std::cout << "wrote " << json_path << "\n";
-  else
-    std::cout << "WARNING: could not write " << json_path << "\n";
 
   // Observability artifacts come from a fault-free reference run of the
   // campaign's PAL configuration (the baseline every faulted point is

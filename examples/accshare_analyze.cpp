@@ -6,14 +6,18 @@
 // Reads a shared-system specification (JSON; see sharing/serialize.hpp for
 // the format), runs the full design analysis (Algorithm-1 block sizes via
 // both solvers, Eq. 2-5 bounds, buffer sizing, the derived completion law)
-// and prints a markdown report. Without arguments it analyzes the paper's
-// PAL case-study system and prints its spec as a starting template.
+// and prints a markdown report. The report ends with the CSDF model of the
+// first stream (paper Fig. 5) as Graphviz dot; pipe that block into
+// `dot -Tpng` to render it. Without arguments it analyzes the paper's PAL
+// case-study system; --dump-spec prints the spec as a starting template.
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
+#include "dataflow/dot.hpp"
 #include "lint/linter.hpp"
+#include "sharing/csdf_model.hpp"
 #include "sharing/report.hpp"
 #include "sharing/serialize.hpp"
 
@@ -107,7 +111,22 @@ int main(int argc, char** argv) {
     return r;
   }();
 
-  const std::string md = rep.to_markdown(sys);
+  // The CSDF temporal-analysis model behind these numbers (paper Fig. 5),
+  // for the first stream at a tiny block so the graph stays readable.
+  sharing::CsdfModelOptions model_opt;
+  model_opt.eta = 3;
+  model_opt.alpha0 = 6;
+  model_opt.alpha3 = 6;
+  model_opt.producer_period = sys.streams[0].mu.reciprocal().floor();
+  model_opt.consumer_period = model_opt.producer_period;
+  const sharing::CsdfStreamModel model =
+      sharing::build_csdf_stream_model(sys, 0, model_opt);
+  df::DotOptions dopt;
+  dopt.name = "fig5_csdf_" + sys.streams[0].name;
+  const std::string md = rep.to_markdown(sys) +
+                         "\n## CSDF model (Fig. 5) of " +
+                         sys.streams[0].name + " at eta=3, Graphviz dot\n\n" +
+                         "```dot\n" + df::to_dot(model.graph, dopt) + "```\n";
   if (out_path.empty()) {
     std::cout << md;
   } else {

@@ -40,7 +40,7 @@ json::Object run_to_json(const SimBenchRun& r) {
   o["mode"] = r.mode;
   o["wall_ms"] = r.wall_ms;
   o["cycles"] = r.cycles;
-  // A --sim-fast run can finish inside the clock's ms resolution; a rate
+  // A test-size run can finish inside the clock's ms resolution; a rate
   // computed from a zero wall time would be infinite (and not valid JSON),
   // so the field goes null instead of lying with 0 or inf.
   if (std::isfinite(r.cycles_per_sec))
@@ -67,17 +67,6 @@ json::Object run_to_json(const SimBenchRun& r) {
 }
 
 }  // namespace
-
-PalSimConfig sim_bench_pal_config(bool fast) {
-  PalSimConfig cfg;
-  // The paper's demonstrator, unmodified — the bench measures the stepper,
-  // not a synthetic workload. Fast mode only shortens the input.
-  // Fast mode must still push real audio through the chain (the stage-1
-  // block is eta ~ 2672 samples), so the outcome digest compares non-empty
-  // sample streams, not two empty sinks.
-  cfg.input_samples = fast ? (1 << 13) : (1 << 16);
-  return cfg;
-}
 
 SimBenchRun sim_bench_run(const PalSimConfig& pal, sim::StepperKind kind) {
   PalSimConfig cfg = pal;

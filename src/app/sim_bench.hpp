@@ -1,13 +1,13 @@
-// Simulator perf-trajectory workload and its BENCH_sim.json document.
+// Simulator perf-trajectory runs and their BENCH_sim.json document.
 //
-// E9 (bench_perf_analysis) measures the PAL stereo decoder under both
-// steppers — the dense reference loop and the wake-list core — and writes
-// cycles/second plus the skip statistics to BENCH_sim.json, the repo's
-// simulator perf baseline. The workload and document builder live here,
-// not inside the bench binary, so the golden-schema tests
-// (tests/sharing/bench_schema_test.cpp) and the drift gate on the
-// committed document (tests/app/bench_sim_drift_test.cpp) exercise the
-// exact code the bench ships. See docs/performance.md.
+// E9 (bench_perf_analysis) measures the PAL stereo decoder, the default
+// PalSimConfig, under both steppers — the dense reference loop and the
+// wake-list core — and writes cycles/second plus the skip statistics to
+// BENCH_sim.json, the repo's simulator perf baseline. The measured run and
+// the document builder live here, not inside the bench binary, so the
+// golden-schema tests (tests/sharing/bench_schema_test.cpp) and the drift
+// gate on the committed document (tests/app/bench_sim_drift_test.cpp)
+// exercise the exact code the bench ships. See docs/performance.md.
 #pragma once
 
 #include <cstdint>
@@ -18,11 +18,6 @@
 
 namespace acc::app {
 
-/// PAL decoder scenario for the simulator bench. `fast` shrinks the input
-/// to ctest size (sub-second) while keeping every architectural parameter —
-/// the perf `ctest -L perf` entry uses it, the full bench run does not.
-[[nodiscard]] PalSimConfig sim_bench_pal_config(bool fast);
-
 /// One measured stepper run: timing plus a digest of the simulation's
 /// observable outcome. Two runs with equal digests produced bit-identical
 /// audio and verdicts — the cross-stepper equivalence check the bench and
@@ -32,7 +27,7 @@ struct SimBenchRun {
   double wall_ms = 0.0;
   std::int64_t cycles = 0;  // simulated cycles
   // Simulated cycles per wall second; NaN when the wall clock rounded to
-  // zero (sub-millisecond --sim-fast runs) — serialized as JSON null.
+  // zero (sub-millisecond test-size runs) — serialized as JSON null.
   double cycles_per_sec = 0.0;
   std::int64_t dense_ticks = 0;  // cycles actually ticked
   std::int64_t skips = 0;

@@ -1,5 +1,8 @@
 #include "common/bench_schema.hpp"
 
+#include <fstream>
+#include <iostream>
+
 namespace acc {
 
 namespace {
@@ -69,34 +72,6 @@ void require_all(const json::Value& obj, const std::string& path,
 }
 
 }  // namespace
-
-std::vector<std::string> validate_bench_dse(const json::Value& doc) {
-  std::vector<std::string> problems;
-  const json::Value* bench =
-      require(doc, "$", "bench", Kind::kString, &problems);
-  if (bench != nullptr && bench->as_string() != "dse")
-    problems.push_back("$.bench: expected \"dse\"");
-  (void)require(doc, "$", "hardware_threads", Kind::kInt, &problems);
-  const json::Value* runs =
-      require(doc, "$", "runs", Kind::kArray, &problems);
-  if (runs == nullptr) return problems;
-  if (runs->as_array().empty())
-    problems.push_back("$.runs: expected at least one run");
-  for (std::size_t i = 0; i < runs->as_array().size(); ++i) {
-    const std::string path = "$.runs[" + std::to_string(i) + "]";
-    require_all(runs->as_array()[i], path,
-                {{"jobs", Kind::kInt},
-                 {"wall_ms", Kind::kNumber},
-                 {"simulations", Kind::kInt},
-                 {"cache_hits", Kind::kInt},
-                 {"cache_misses", Kind::kInt},
-                 {"cache_hit_rate", Kind::kNumber},
-                 {"pruned_infeasible", Kind::kInt},
-                 {"pruned_feasible", Kind::kInt}},
-                &problems);
-  }
-  return problems;
-}
 
 std::vector<std::string> validate_bench_faults(const json::Value& doc) {
   std::vector<std::string> problems;
@@ -434,6 +409,27 @@ std::vector<std::string> validate_run_report(const json::Value& doc) {
                 &problems);
   }
   return problems;
+}
+
+bool write_bench_doc(const json::Value& doc, BenchValidator validate,
+                     const std::string& path,
+                     std::vector<std::string> problems) {
+  const std::vector<std::string> schema = validate(doc);
+  problems.insert(problems.begin(), schema.begin(), schema.end());
+  if (!problems.empty()) {
+    std::cerr << "not writing " << path << ", the document is invalid:\n";
+    for (const std::string& p : problems) std::cerr << "  " << p << "\n";
+    return false;
+  }
+  std::ofstream out(path);
+  out << doc.pretty() << "\n";
+  out.flush();
+  if (!out) {
+    std::cerr << "could not write " << path << "\n";
+    return false;
+  }
+  std::cout << "wrote " << path << "\n";
+  return true;
 }
 
 }  // namespace acc

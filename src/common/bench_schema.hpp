@@ -1,7 +1,8 @@
 // Golden schemas for the machine-readable bench documents (BENCH_*.json).
-// The bench binaries validate before writing and the test suite validates
-// documents built in-process, so a drifting producer breaks both the bench
-// and ctest instead of silently shipping a malformed artifact.
+// The bench binaries write through write_bench_doc, which validates first,
+// and the test suite validates documents built in-process, so a drifting
+// producer breaks both the bench and ctest instead of silently shipping a
+// malformed artifact.
 #pragma once
 
 #include <string>
@@ -11,12 +12,8 @@
 
 namespace acc {
 
-/// Validate a BENCH_dse.json document (see sharing/bench_doc.hpp).
-/// Returns one human-readable problem per schema breach; empty = valid.
-[[nodiscard]] std::vector<std::string> validate_bench_dse(
-    const json::Value& doc);
-
 /// Validate a BENCH_faults.json document (see app/fault_campaign.hpp).
+/// Returns one human-readable problem per schema breach; empty = valid.
 [[nodiscard]] std::vector<std::string> validate_bench_faults(
     const json::Value& doc);
 
@@ -41,5 +38,18 @@ namespace acc {
 /// was observed) and a non-empty streams table on top of key/kind checks.
 [[nodiscard]] std::vector<std::string> validate_run_report(
     const json::Value& doc);
+
+/// One of the validate_bench_* functions above.
+using BenchValidator = std::vector<std::string> (*)(const json::Value&);
+
+/// Check `doc` with `validate`, then write it pretty-printed to `path`.
+/// `problems` holds the caller's own checks beyond the schema. A document
+/// with any problem is not written, so a diverged run cannot overwrite a
+/// committed one. Returns false, after reporting on stderr, when a check
+/// fails or the file cannot be written; prints "wrote PATH" otherwise.
+[[nodiscard]] bool write_bench_doc(const json::Value& doc,
+                                   BenchValidator validate,
+                                   const std::string& path,
+                                   std::vector<std::string> problems = {});
 
 }  // namespace acc

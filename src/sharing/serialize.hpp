@@ -1,6 +1,6 @@
 // JSON (de)serialization of shared-system specifications — experiment
-// configurations as data, consumed by the accshare_analyze CLI and the
-// bench harnesses.
+// configurations as data, consumed by the accshare_analyze CLI. acc-lint's
+// configurations (examples/configs/*.json) extend the same format.
 //
 // Format:
 // {

@@ -2,8 +2,9 @@
 // decode under both steppers and require every field of the committed
 // document that does not depend on the host to match the fresh run. A
 // change to the work the simulator does (ticks, wakes, horizon queries,
-// skips) or to its outcome must regenerate the document on purpose:
-//   build/bench/bench_perf_analysis --sim-only --sim-json BENCH_sim.json
+// skips) or to its outcome must regenerate the document on purpose, from
+// the repository root:
+//   build/bench/bench_perf_analysis --sim-json BENCH_sim.json
 // Wall-clock fields (wall_ms, cycles_per_sec, speedup) are never compared,
 // so the gate cannot flake on machine load. The Gate* tests check the
 // comparison itself on a small run.
@@ -32,7 +33,7 @@ constexpr const char* kDeterministicFields[] = {
 
 constexpr const char* kRegenerate =
     " — if the change is intended, regenerate " ACC_BENCH_SIM_JSON
-    " with 'bench_perf_analysis --sim-only --sim-json BENCH_sim.json'";
+    " with 'bench_perf_analysis --sim-json BENCH_sim.json'";
 
 const json::Value* row_for_mode(const json::Value& doc,
                                 const std::string& mode) {
@@ -73,7 +74,7 @@ json::Value fresh_doc(app::PalSimConfig pal) {
 }
 
 json::Value small_doc() {
-  app::PalSimConfig pal = app::sim_bench_pal_config(/*fast=*/true);
+  app::PalSimConfig pal;
   pal.input_samples = 1 << 10;
   return fresh_doc(pal);
 }
@@ -91,8 +92,7 @@ TEST(BenchSimDrift, CommittedDocumentMatchesAFreshRun) {
   for (const std::string& p : validate_bench_sim(committed))
     ADD_FAILURE() << p << kRegenerate;
 
-  const json::Value fresh =
-      fresh_doc(app::sim_bench_pal_config(/*fast=*/false));
+  const json::Value fresh = fresh_doc(app::PalSimConfig{});
   for (const std::string& p : drift(committed, fresh))
     ADD_FAILURE() << p << kRegenerate;
 }

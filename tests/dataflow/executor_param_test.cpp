@@ -6,7 +6,7 @@
 
 #include "dataflow/executor.hpp"
 #include "dataflow/graph.hpp"
-#include "dataflow/hsdf.hpp"
+#include "../support/hsdf.hpp"
 
 namespace acc::df {
 namespace {

@@ -1,4 +1,4 @@
-#include "dataflow/hsdf.hpp"
+#include "../support/hsdf.hpp"
 
 #include <gtest/gtest.h>
 

@@ -6,7 +6,7 @@
 #include "common/rng.hpp"
 #include "dataflow/buffer_sizing.hpp"
 #include "dataflow/executor.hpp"
-#include "dataflow/hsdf.hpp"
+#include "../support/hsdf.hpp"
 
 namespace acc::df {
 namespace {

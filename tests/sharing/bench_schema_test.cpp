@@ -1,12 +1,15 @@
-// ISSUE 2 satellite 4: golden-schema tests for the machine-readable bench
-// documents. The benches write BENCH_dse.json / BENCH_faults.json; these
-// tests pin the exact shape by validating docs produced by the very code
-// the benches call, plus negative cases for each failure class the
-// validator reports (missing key, wrong type, wrong bench id).
+// Golden-schema tests for the machine-readable bench documents
+// (BENCH_sim.json, BENCH_faults.json, BENCH_admission.json) and the
+// RunReport. They pin the exact shape by validating docs produced by the
+// very code the benches call, plus negative cases for each failure class
+// the validator reports (missing key, wrong type, wrong bench id).
 #include "common/bench_schema.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "app/admission_churn.hpp"
@@ -14,17 +17,9 @@
 #include "app/sim_bench.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
-#include "sharing/bench_doc.hpp"
 
 namespace acc {
 namespace {
-
-json::Value small_dse_doc() {
-  json::Array runs;
-  runs.push_back(
-      json::Value(sharing::dse_run(sharing::DseWorkload::small(), 1)));
-  return sharing::dse_bench_doc(std::move(runs));
-}
 
 json::Value small_faults_doc() {
   app::FaultCampaignConfig cfg;
@@ -33,9 +28,20 @@ json::Value small_faults_doc() {
   return app::faults_bench_doc(cfg, res);
 }
 
-TEST(BenchSchema, DseDocFromBenchCodeValidates) {
-  const std::vector<std::string> problems = validate_bench_dse(small_dse_doc());
-  EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems.front());
+json::Value small_sim_doc() {
+  app::PalSimConfig pal;
+  pal.input_samples = 1 << 10;  // test size; the bench decodes 1 << 16
+  const app::SimBenchRun dense =
+      app::sim_bench_run(pal, sim::StepperKind::kDense);
+  const app::SimBenchRun wake =
+      app::sim_bench_run(pal, sim::StepperKind::kWakeList);
+  return app::sim_bench_doc(pal, dense, wake);
+}
+
+json::Value small_admission_doc() {
+  app::ChurnConfig cfg = app::small_churn_config();
+  cfg.workload.events = 24;  // test-size trace, still joins AND leaves
+  return app::admission_bench_doc(cfg, app::run_churn_campaign(cfg));
 }
 
 TEST(BenchSchema, FaultsDocFromBenchCodeValidates) {
@@ -45,25 +51,23 @@ TEST(BenchSchema, FaultsDocFromBenchCodeValidates) {
 }
 
 TEST(BenchSchema, DetectsMissingKey) {
-  json::Value doc = small_dse_doc();
-  doc.as_object().erase("hardware_threads");
-  const std::vector<std::string> problems = validate_bench_dse(doc);
+  json::Value doc = small_faults_doc();
+  doc.as_object().erase("conformance_slack");
+  const std::vector<std::string> problems = validate_bench_faults(doc);
   ASSERT_FALSE(problems.empty());
-  EXPECT_NE(problems.front().find("hardware_threads"), std::string::npos);
+  EXPECT_NE(problems.front().find("conformance_slack"), std::string::npos);
 }
 
 TEST(BenchSchema, DetectsWrongType) {
-  json::Value doc = small_dse_doc();
-  doc.as_object()["runs"].as_array()[0].as_object()["simulations"] = "many";
-  EXPECT_FALSE(validate_bench_dse(doc).empty());
+  json::Value doc = small_admission_doc();
+  doc.as_object()["summary"].as_object()["analysis_work"] = "many";
+  EXPECT_FALSE(validate_bench_admission(doc).empty());
 }
 
 TEST(BenchSchema, DetectsWrongBenchId) {
-  json::Value faults = small_faults_doc();
-  // A faults doc is not a DSE doc and vice versa.
-  EXPECT_FALSE(validate_bench_dse(faults).empty());
-  json::Value dse = small_dse_doc();
-  EXPECT_FALSE(validate_bench_faults(dse).empty());
+  // A faults doc is not an admission doc and vice versa.
+  EXPECT_FALSE(validate_bench_admission(small_faults_doc()).empty());
+  EXPECT_FALSE(validate_bench_faults(small_admission_doc()).empty());
 }
 
 TEST(BenchSchema, DetectsMissingPointKeyInFaultsDoc) {
@@ -76,21 +80,12 @@ TEST(BenchSchema, DetectsMissingPointKeyInFaultsDoc) {
 }
 
 TEST(BenchSchema, DetectsEmptyRuns) {
-  json::Value doc = sharing::dse_bench_doc(json::Array{});
-  EXPECT_FALSE(validate_bench_dse(doc).empty());
+  json::Value doc = small_faults_doc();
+  doc.as_object()["points"].as_array().clear();
+  EXPECT_FALSE(validate_bench_faults(doc).empty());
 }
 
-// --- BENCH_sim.json (ISSUE 3: simulator perf trajectory) ----------------
-
-json::Value small_sim_doc() {
-  app::PalSimConfig pal = app::sim_bench_pal_config(/*fast=*/true);
-  pal.input_samples = 1 << 10;  // test-size, even smaller than --sim-fast
-  const app::SimBenchRun dense =
-      app::sim_bench_run(pal, sim::StepperKind::kDense);
-  const app::SimBenchRun wake =
-      app::sim_bench_run(pal, sim::StepperKind::kWakeList);
-  return app::sim_bench_doc(pal, dense, wake);
-}
+// --- BENCH_sim.json (simulator perf trajectory) -------------------------
 
 TEST(BenchSchema, SimDocFromBenchCodeValidates) {
   const std::vector<std::string> problems = validate_bench_sim(small_sim_doc());
@@ -142,8 +137,8 @@ TEST(BenchSchema, SimDocDetectsDivergence) {
 }
 
 TEST(BenchSchema, SimDocAcceptsNullRates) {
-  // A --sim-fast run can complete below the wall clock's resolution; the
-  // rate fields are then null rather than 0 or inf (ISSUE 8 satellite).
+  // A test-size run can complete below the wall clock's resolution; the
+  // rate fields are then null rather than 0 or inf.
   json::Value doc = small_sim_doc();
   doc.as_object()["runs"].as_array()[1].as_object()["cycles_per_sec"] =
       nullptr;
@@ -187,18 +182,30 @@ TEST(BenchSchema, SimDocRejectsSwappedRowOrder) {
 }
 
 TEST(BenchSchema, SimDocDetectsWrongBenchId) {
-  json::Value doc = small_sim_doc();
-  EXPECT_FALSE(validate_bench_dse(doc).empty());
-  EXPECT_FALSE(validate_bench_sim(small_dse_doc()).empty());
+  EXPECT_FALSE(validate_bench_faults(small_sim_doc()).empty());
+  EXPECT_FALSE(validate_bench_sim(small_faults_doc()).empty());
 }
 
-// --- BENCH_admission.json (ISSUE 10: dynamic control plane) -------------
+TEST(BenchSchema, WriterWritesOnlyValidDocuments) {
+  const std::string path = testing::TempDir() + "bench_schema_writer.json";
+  std::remove(path.c_str());
+  json::Value diverged = small_sim_doc();
+  diverged.as_object()["equivalent"] = false;
+  EXPECT_FALSE(write_bench_doc(diverged, validate_bench_sim, path));
+  EXPECT_FALSE(std::ifstream(path).good());
+  // A caller's own check beyond the schema also blocks the write.
+  const json::Value doc = small_sim_doc();
+  EXPECT_FALSE(write_bench_doc(doc, validate_bench_sim, path, {"too slow"}));
+  EXPECT_FALSE(std::ifstream(path).good());
 
-json::Value small_admission_doc() {
-  app::ChurnConfig cfg = app::small_churn_config();
-  cfg.workload.events = 24;  // test-size trace, still joins AND leaves
-  return app::admission_bench_doc(cfg, app::run_churn_campaign(cfg));
+  ASSERT_TRUE(write_bench_doc(doc, validate_bench_sim, path));
+  std::stringstream text;
+  text << std::ifstream(path).rdbuf();
+  EXPECT_EQ(text.str(), doc.pretty() + "\n");
+  std::remove(path.c_str());
 }
+
+// --- BENCH_admission.json (dynamic control plane) -----------------------
 
 TEST(BenchSchema, AdmissionDocFromBenchCodeValidates) {
   const std::vector<std::string> problems =
@@ -275,7 +282,7 @@ TEST(BenchSchema, AdmissionDocDetectsWrongBenchId) {
   EXPECT_FALSE(validate_bench_sim(small_admission_doc()).empty());
 }
 
-// --- RunReport (ISSUE 7: observability) ---------------------------------
+// --- RunReport (observability) -------------------------------------------
 
 json::Value small_run_report() {
   obs::MetricsRegistry metrics;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "sharing/report.hpp"
 #include "sharing/serialize.hpp"
 
@@ -99,6 +102,30 @@ TEST(Report, BufferSizingCanBeSkipped) {
   ASSERT_TRUE(rep.schedulable);
   for (const StreamReport& s : rep.streams)
     EXPECT_FALSE(s.buffers.has_value());
+}
+
+TEST(Report, QuickstartConfigSizesBlocksAndBuffers) {
+  // The two radios on a CORDIC -> FIR chain that the README's quick tour
+  // sizes with `accshare_analyze examples/configs/quickstart.json`.
+  std::ifstream in(ACC_EXAMPLE_CONFIG_DIR "/quickstart.json");
+  ASSERT_TRUE(in);
+  std::stringstream text;
+  text << in.rdbuf();
+  const SharedSystemSpec sys = spec_from_string(text.str());
+  const SystemReport rep = analyze_system(sys);
+  ASSERT_TRUE(rep.schedulable);
+  EXPECT_TRUE(rep.solvers_agree);
+  EXPECT_EQ(rep.utilization, Rational(39, 80));
+  EXPECT_EQ(rep.gamma, 16195);
+  ASSERT_EQ(rep.streams.size(), 2u);
+  EXPECT_EQ(rep.streams[0].eta, 324);
+  EXPECT_EQ(rep.streams[1].eta, 203);
+  const std::int64_t alpha[] = {648, 406};
+  for (std::size_t s = 0; s < 2; ++s) {
+    ASSERT_TRUE(rep.streams[s].buffers.has_value());
+    EXPECT_EQ(rep.streams[s].buffers->alpha0, alpha[s]);
+    EXPECT_EQ(rep.streams[s].buffers->alpha3, alpha[s]);
+  }
 }
 
 }  // namespace
