@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "dataflow/executor.hpp"
-
 namespace acc::df {
 
 namespace {
@@ -43,6 +41,9 @@ DseEngine::DseEngine(const Graph& g, std::vector<Channel> channels,
   }
   g.validate();  // once; every simulation skips re-validation
   worker_graphs_.assign(pool_.size(), g);
+  worker_execs_.reserve(pool_.size());
+  for (const Graph& clone : worker_graphs_)
+    worker_execs_.emplace_back(clone, assume_validated);
 
   // Structural fingerprint: everything that determines throughput except the
   // managed capacities (those are the memo key). Managed space edges
@@ -81,9 +82,8 @@ Rational DseEngine::simulate(std::size_t worker, const CapVec& caps) {
   Graph& g = worker_graphs_[worker];
   for (std::size_t i = 0; i < channels_.size(); ++i)
     g.set_channel_capacity(channels_[i], caps[i]);
-  SelfTimedExecutor exec(g, assume_validated);
   const ThroughputResult r =
-      exec.analyze_throughput(reference_, opt_.max_iterations);
+      worker_execs_[worker].analyze_throughput(reference_, opt_.max_iterations);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.simulations;

@@ -18,7 +18,9 @@
 //    feasible vector answers every component-wise-larger one, turning the
 //    budget staircase into a frontier search;
 //  - simulations skip Graph::validate() (the engine validates its clones
-//    once) and use the executor's allocation-free state hashing.
+//    once) and run on one SelfTimedExecutor per worker clone, which keeps
+//    its repetition vector from one simulation to the next and hashes
+//    states without allocating.
 //
 // Results are bit-identical across thread counts: feasibility of a vector is
 // a pure function of the vector, and every search picks winners by candidate
@@ -34,6 +36,7 @@
 #include "common/rational.hpp"
 #include "common/thread_pool.hpp"
 #include "dataflow/buffer_sizing.hpp"
+#include "dataflow/executor.hpp"
 #include "dataflow/graph.hpp"
 
 namespace acc::df {
@@ -120,6 +123,8 @@ class DseEngine {
   /// One private clone per worker (index = worker id); clone 0 doubles as
   /// the driver-thread graph for serial phases.
   std::vector<Graph> worker_graphs_;
+  /// One executor per clone, reused by every simulation on that worker.
+  std::vector<SelfTimedExecutor> worker_execs_;
 
   mutable std::mutex mu_;
   std::unordered_map<CapVec, Rational, CapVecHash> memo_;

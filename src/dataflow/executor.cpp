@@ -76,18 +76,10 @@ void SelfTimedExecutor::complete(const Event& ev) {
 }
 
 void SelfTimedExecutor::start_enabled() {
-  // Fixpoint: zero-duration firings complete inside step(), not here, so a
-  // single sweep can only be invalidated by another start on the same actor
-  // (multi-firing enablement). Loop until no actor can start.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (ActorId a = 0; a < static_cast<ActorId>(g_.num_actors()); ++a) {
-      while (enabled(a)) {
-        start_firing(a);
-        progress = true;
-        if (!g_.actor(a).auto_concurrent) break;
-      }
+  for (ActorId a = 0; a < static_cast<ActorId>(g_.num_actors()); ++a) {
+    while (enabled(a)) {
+      start_firing(a);
+      if (!g_.actor(a).auto_concurrent) break;
     }
   }
 }
@@ -172,13 +164,14 @@ struct Fnv1a64 {
 
 }  // namespace
 
-std::uint64_t SelfTimedExecutor::state_key() const {
+std::uint64_t SelfTimedExecutor::state_key(std::int64_t overshoot) const {
   // Timing-relevant state: token counts, next phases, and the relative
   // offsets of all in-flight completions. Enumerated in the heap's pop
-  // order — (when, seq) ascending — so the hash covers exactly the bytes the
-  // old string key serialized, without the per-call heap copy + string
+  // order — (when, seq) ascending — so the hash covers exactly the words
+  // state_key_string() serializes, without the per-call heap copy + string
   // allocation.
   Fnv1a64 fnv;
+  fnv.mix_i64(overshoot);
   for (std::int64_t t : tokens_) fnv.mix_i64(t);
   for (std::int32_t p : next_phase_) fnv.mix_i64(p);
   scratch_.assign(pending_.container().begin(), pending_.container().end());
@@ -194,9 +187,10 @@ std::uint64_t SelfTimedExecutor::state_key() const {
   return fnv.h;
 }
 
-std::string SelfTimedExecutor::state_key_string() const {
+std::string SelfTimedExecutor::state_key_string(std::int64_t overshoot) const {
   std::vector<std::int64_t> v;
   v.reserve(tokens_.size() + next_phase_.size() + pending_.size() * 3 + 1);
+  v.push_back(overshoot);
   for (std::int64_t t : tokens_) v.push_back(t);
   for (std::int32_t p : next_phase_) v.push_back(p);
   auto copy = pending_;
@@ -255,17 +249,24 @@ std::string describe(const DeadlockReport& r, const Graph& g) {
 
 ThroughputResult SelfTimedExecutor::analyze_throughput(
     ActorId reference, std::int64_t max_iterations) {
-  const RepetitionVector rv = compute_repetition_vector(g_);
-  ACC_EXPECTS_MSG(rv.consistent, "throughput analysis needs a consistent graph");
-  const std::int64_t ref_per_iter = rv.firings[reference];
+  if (rv_firings_.empty()) {
+    RepetitionVector rv = compute_repetition_vector(g_);
+    ACC_EXPECTS_MSG(rv.consistent,
+                    "throughput analysis needs a consistent graph");
+    rv_firings_ = std::move(rv.firings);
+  }
+  const std::int64_t ref_per_iter = rv_firings_[reference];
   ACC_CHECK(ref_per_iter > 0);
 
   reset();
   ThroughputResult out;
 
   // States observed at iteration boundaries of the reference actor, keyed by
-  // the 64-bit state hash. A hash collision would mis-detect a recurrence;
-  // debug builds cross-check every hash against the full serialized state.
+  // the 64-bit state hash. The key holds the reference's overshoot past the
+  // boundary: an auto-concurrent reference can complete several firings at
+  // one instant, and two boundaries passed at one instant must not look like
+  // a period. A hash collision would mis-detect a recurrence; builds without
+  // NDEBUG cross-check every hash against the full state.
   std::unordered_map<std::uint64_t, std::pair<Time, std::int64_t>> seen;
 #ifndef NDEBUG
   std::unordered_map<std::uint64_t, std::string> seen_full;
@@ -275,10 +276,11 @@ ThroughputResult SelfTimedExecutor::analyze_throughput(
       out.deadlocked = true;
       return out;
     }
-    const std::uint64_t key = state_key();
+    const std::int64_t overshoot = completed_[reference] - iter * ref_per_iter;
+    const std::uint64_t key = state_key(overshoot);
 #ifndef NDEBUG
     {
-      const std::string full = state_key_string();
+      const std::string full = state_key_string(overshoot);
       const auto fit = seen_full.find(key);
       ACC_CHECK_MSG(fit == seen_full.end() || fit->second == full,
                     "state_key 64-bit hash collision");

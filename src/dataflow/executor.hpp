@@ -79,9 +79,8 @@ struct ThroughputResult {
 };
 
 /// Tag for the validation-skipping constructor: the caller vouches that the
-/// graph has already passed Graph::validate(). Used by search drivers
-/// (buffer sizing, DSE) that construct thousands of executors on the same
-/// pre-validated graph.
+/// graph has already passed Graph::validate(). Used by the DSE engine, which
+/// validates each worker's graph clone once and keeps one executor on it.
 struct assume_validated_t {
   explicit assume_validated_t() = default;
 };
@@ -89,7 +88,8 @@ inline constexpr assume_validated_t assume_validated{};
 
 class SelfTimedExecutor {
  public:
-  /// The graph must outlive the executor and must validate().
+  /// The graph must outlive the executor and must validate(). Only its
+  /// initial tokens (capacities) may change while the executor exists.
   explicit SelfTimedExecutor(const Graph& g);
   /// Skip structural validation: the caller guarantees g.validate() passed
   /// (capacity changes via set_channel_capacity never invalidate a graph).
@@ -99,7 +99,8 @@ class SelfTimedExecutor {
   explicit SelfTimedExecutor(Graph&&) = delete;
   SelfTimedExecutor(Graph&&, assume_validated_t) = delete;
 
-  /// Restore all token counts and clocks to the initial state.
+  /// Restore all token counts and clocks to the initial state, read from
+  /// the graph's current initial tokens.
   void reset();
 
   void set_observers(ExecObservers obs) { observers_ = std::move(obs); }
@@ -115,7 +116,10 @@ class SelfTimedExecutor {
 
   /// Detect the periodic steady state by state recurrence at iteration
   /// boundaries of `reference` and return the exact throughput. Requires a
-  /// consistent graph. `max_iterations` bounds the search.
+  /// consistent graph. `max_iterations` bounds the search. Resets first, so
+  /// one executor answers repeated calls after set_channel_capacity; the
+  /// repetition vector is computed on the first call and kept (capacities
+  /// do not change it).
   ThroughputResult analyze_throughput(ActorId reference,
                                       std::int64_t max_iterations = 100000);
 
@@ -145,8 +149,10 @@ class SelfTimedExecutor {
     }
   };
 
-  /// Start every enabled firing at the current time (fixpoint: starting one
-  /// firing may enable zero-duration chains).
+  /// Start every enabled firing at the current time, in one pass in actor
+  /// order: a start only consumes tokens from the actor's own input edges
+  /// (each edge has one consumer) and produces nothing until it completes
+  /// in step(), so it never enables another actor.
   void start_enabled();
   [[nodiscard]] bool enabled(ActorId a) const;
   void start_firing(ActorId a);
@@ -164,13 +170,14 @@ class SelfTimedExecutor {
   };
 
   /// Hash the timing-relevant state for recurrence detection: token counts,
-  /// next phases, and the (when - now, actor, phase) of every in-flight
-  /// completion in deterministic (when, seq) order. Allocation-free after
-  /// the first call (reuses scratch_).
-  [[nodiscard]] std::uint64_t state_key() const;
-  /// The pre-optimization serialized key; kept for the NDEBUG-off collision
-  /// check in analyze_throughput.
-  [[nodiscard]] std::string state_key_string() const;
+  /// next phases, the (when - now, actor, phase) of every in-flight
+  /// completion in deterministic (when, seq) order, and `overshoot`, the
+  /// reference completions past the iteration boundary. Allocation-free
+  /// after the first call (reuses scratch_).
+  [[nodiscard]] std::uint64_t state_key(std::int64_t overshoot) const;
+  /// The same state serialized in full; kept for the collision check that
+  /// analyze_throughput runs in builds without NDEBUG.
+  [[nodiscard]] std::string state_key_string(std::int64_t overshoot) const;
 
   const Graph& g_;
   Time now_ = 0;
@@ -182,6 +189,8 @@ class SelfTimedExecutor {
   std::vector<std::int64_t> completed_;
   EventQueue pending_;
   mutable std::vector<Event> scratch_;  // state_key() working storage
+  /// Repetition-vector firings, computed by the first analyze_throughput.
+  std::vector<std::int64_t> rv_firings_;
   ExecObservers observers_;
 };
 

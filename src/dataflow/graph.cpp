@@ -85,30 +85,10 @@ std::int64_t Graph::channel_capacity(const Channel& ch) const {
   return edge(ch.data).initial_tokens + edge(ch.space).initial_tokens;
 }
 
-const Actor& Graph::actor(ActorId a) const {
-  ACC_EXPECTS(a >= 0 && static_cast<std::size_t>(a) < actors_.size());
-  return actors_[a];
-}
-
-const Edge& Graph::edge(EdgeId e) const {
-  ACC_EXPECTS(e >= 0 && static_cast<std::size_t>(e) < edges_.size());
-  return edges_[e];
-}
-
 void Graph::set_initial_tokens(EdgeId e, std::int64_t tokens) {
   ACC_EXPECTS(e >= 0 && static_cast<std::size_t>(e) < edges_.size());
   ACC_EXPECTS(tokens >= 0);
   edges_[e].initial_tokens = tokens;
-}
-
-const std::vector<EdgeId>& Graph::in_edges(ActorId a) const {
-  ACC_EXPECTS(a >= 0 && static_cast<std::size_t>(a) < actors_.size());
-  return in_edges_[a];
-}
-
-const std::vector<EdgeId>& Graph::out_edges(ActorId a) const {
-  ACC_EXPECTS(a >= 0 && static_cast<std::size_t>(a) < actors_.size());
-  return out_edges_[a];
 }
 
 ActorId Graph::find_actor(const std::string& name) const {

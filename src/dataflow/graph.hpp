@@ -100,8 +100,14 @@ class Graph {
 
   [[nodiscard]] std::size_t num_actors() const { return actors_.size(); }
   [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
-  [[nodiscard]] const Actor& actor(ActorId a) const;
-  [[nodiscard]] const Edge& edge(EdgeId e) const;
+  [[nodiscard]] const Actor& actor(ActorId a) const {
+    ACC_EXPECTS(a >= 0 && static_cast<std::size_t>(a) < actors_.size());
+    return actors_[a];
+  }
+  [[nodiscard]] const Edge& edge(EdgeId e) const {
+    ACC_EXPECTS(e >= 0 && static_cast<std::size_t>(e) < edges_.size());
+    return edges_[e];
+  }
 
   /// Mutable access to an edge's initial tokens (buffer-sizing sweeps).
   void set_initial_tokens(EdgeId e, std::int64_t tokens);
@@ -110,8 +116,14 @@ class Graph {
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
 
   /// Edges entering / leaving an actor (indices into edges()).
-  [[nodiscard]] const std::vector<EdgeId>& in_edges(ActorId a) const;
-  [[nodiscard]] const std::vector<EdgeId>& out_edges(ActorId a) const;
+  [[nodiscard]] const std::vector<EdgeId>& in_edges(ActorId a) const {
+    ACC_EXPECTS(a >= 0 && static_cast<std::size_t>(a) < actors_.size());
+    return in_edges_[a];
+  }
+  [[nodiscard]] const std::vector<EdgeId>& out_edges(ActorId a) const {
+    ACC_EXPECTS(a >= 0 && static_cast<std::size_t>(a) < actors_.size());
+    return out_edges_[a];
+  }
 
   /// Find an actor by name; kInvalidActor if absent.
   [[nodiscard]] ActorId find_actor(const std::string& name) const;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <tuple>
 
 #include "dataflow/buffer_sizing.hpp"
 #include "ilp/model.hpp"
@@ -190,15 +192,22 @@ OptimalBlockResult optimal_blocks_for_buffers(
 
   const std::size_t n = sys.num_streams();
   std::vector<std::int64_t> etas(base.eta);
+  // Stream s's buffers depend on the vector only through eta_s and
+  // gamma_hat, so each (s, eta_s, gamma_hat) is sized once.
+  std::map<std::tuple<std::size_t, std::int64_t, Time>, StreamBufferResult>
+      sized;
   std::function<void(std::size_t)> sweep = [&](std::size_t idx) {
     if (idx == n) {
       if (!throughput_met(sys, etas)) return;
+      const Time gamma = gamma_hat(sys, etas);
       std::vector<StreamBufferResult> bufs(n);
       std::int64_t total = 0;
       for (std::size_t s = 0; s < n; ++s) {
-        bufs[s] =
-            min_buffers_for_stream(sys, s, etas, sample_periods[s], chunks[s],
-                                   jobs, stats);
+        const auto [it, fresh] = sized.try_emplace({s, etas[s], gamma});
+        if (fresh)
+          it->second = min_buffers_for_stream(sys, s, etas, sample_periods[s],
+                                              chunks[s], jobs, stats);
+        bufs[s] = it->second;
         if (!bufs[s].feasible) return;
         total += bufs[s].total();
       }

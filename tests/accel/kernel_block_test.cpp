@@ -36,9 +36,14 @@ std::vector<CQ16> edge_block() {
                                -Q16::one, kI32Max, kI32Min, kI32Max - 1,
                                kI32Min + 1, 1 << 20, -(1 << 20), 12345};
   std::vector<CQ16> out;
-  for (std::int32_t a : raws)
-    for (std::int32_t b : {a, -a, std::int32_t{0}})
+  for (std::int32_t a : raws) {
+    // Two's-complement negation without signed overflow: -kI32Min wraps to
+    // kI32Min itself.
+    const auto neg_a =
+        static_cast<std::int32_t>(0u - static_cast<std::uint32_t>(a));
+    for (std::int32_t b : {a, neg_a, std::int32_t{0}})
       out.push_back(CQ16{Q16::from_raw(a), Q16::from_raw(b)});
+  }
   return out;
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "common/rng.hpp"
+#include "dataflow/buffer_sizing.hpp"
 #include "sharing/analysis.hpp"
 
 namespace acc::sharing {
@@ -192,6 +196,123 @@ TEST(OptimalBlocks, NeverWorseThanMinimalBlocks) {
   ASSERT_TRUE(best.feasible);
   EXPECT_LE(best.total_buffer, at_min.total());
   EXPECT_GE(best.eta[0], fp.eta[0]);  // never below the Algorithm-1 minimum
+}
+
+/// The §V-F sweep without reuse: sizes every stream of every block-size
+/// vector, in the same lexicographic order, keeping the first minimum.
+/// `ties` (optional) counts later vectors that equal the best total so far.
+OptimalBlockResult exhaustive_optimal_blocks(
+    const SharedSystemSpec& sys, const std::vector<Time>& periods,
+    std::int64_t slack, const std::vector<std::int64_t>& chunks,
+    df::DseStats* stats, int* ties = nullptr) {
+  const BlockSizeResult base = solve_block_sizes_fixpoint(sys);
+  OptimalBlockResult best;
+  const std::size_t n = sys.num_streams();
+  std::vector<std::int64_t> etas(base.eta);
+  const std::function<void(std::size_t)> sweep = [&](std::size_t idx) {
+    if (idx == n) {
+      if (!throughput_met(sys, etas)) return;
+      std::vector<StreamBufferResult> bufs(n);
+      std::int64_t total = 0;
+      for (std::size_t s = 0; s < n; ++s) {
+        bufs[s] = min_buffers_for_stream(sys, s, etas, periods[s], chunks[s],
+                                         1, stats);
+        if (!bufs[s].feasible) return;
+        total += bufs[s].total();
+      }
+      if (ties && best.feasible && total == best.total_buffer) ++*ties;
+      if (!best.feasible || total < best.total_buffer) {
+        best.feasible = true;
+        best.eta = etas;
+        best.buffers = std::move(bufs);
+        best.total_buffer = total;
+      }
+      return;
+    }
+    for (std::int64_t e = base.eta[idx]; e <= base.eta[idx] + slack; ++e) {
+      etas[idx] = e;
+      sweep(idx + 1);
+    }
+    etas[idx] = base.eta[idx];
+  };
+  sweep(0);
+  return best;
+}
+
+struct SweepQuery {
+  SharedSystemSpec sys;
+  std::vector<Time> periods;
+  std::vector<std::int64_t> chunks;
+  std::int64_t slack = 0;
+};
+
+/// A random feasible query with `n` streams, drawn like the benchmark's:
+/// periods 4-32, R_s 4-12, chunks from {1, 2, 4, 8}, bottleneck below 60 %
+/// busy and small Algorithm-1 blocks.
+SweepQuery random_sweep_query(SplitMix64& rng, std::size_t n) {
+  constexpr std::int64_t kChunks[] = {1, 2, 4, 8};
+  for (;;) {
+    SweepQuery q;
+    q.sys.chain.accel_cycles_per_sample.assign(
+        static_cast<std::size_t>(rng.uniform(1, 2)), 1);
+    q.sys.chain.entry_cycles_per_sample = rng.uniform(1, 3);
+    q.sys.chain.exit_cycles_per_sample = 1;
+    for (std::size_t s = 0; s < n; ++s) {
+      const Time period = rng.uniform(4, 32);
+      q.sys.streams.push_back(
+          {"s" + std::to_string(s), Rational(1, period), rng.uniform(4, 12)});
+      q.periods.push_back(period);
+      q.chunks.push_back(kChunks[rng.uniform(0, 3)]);
+    }
+    q.slack = rng.uniform(1, 3);
+    if (!(utilization(q.sys) < Rational(3, 5))) continue;
+    std::int64_t total_eta = 0;
+    for (std::int64_t e : solve_block_sizes_fixpoint(q.sys).eta) total_eta += e;
+    if (total_eta <= 6 * static_cast<std::int64_t>(n)) return q;
+  }
+}
+
+void expect_same_result(const OptimalBlockResult& got,
+                        const OptimalBlockResult& want) {
+  ASSERT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.eta, want.eta);
+  EXPECT_EQ(got.total_buffer, want.total_buffer);
+  ASSERT_EQ(got.buffers.size(), want.buffers.size());
+  for (std::size_t s = 0; s < got.buffers.size(); ++s) {
+    EXPECT_EQ(got.buffers[s].feasible, want.buffers[s].feasible) << s;
+    EXPECT_EQ(got.buffers[s].alpha0, want.buffers[s].alpha0) << s;
+    EXPECT_EQ(got.buffers[s].alpha3, want.buffers[s].alpha3) << s;
+  }
+}
+
+// Property: reusing each stream's sizing across block-size vectors changes
+// no answer, ties included, on random 2-4-stream queries.
+TEST(OptimalBlocksProperty, ReuseMatchesExhaustiveSweep) {
+  SplitMix64 rng(0x5EF1);
+  int ties = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    const SweepQuery q =
+        random_sweep_query(rng, 2 + static_cast<std::size_t>(trial % 3));
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_same_result(
+        optimal_blocks_for_buffers(q.sys, q.periods, q.slack, q.chunks),
+        exhaustive_optimal_blocks(q.sys, q.periods, q.slack, q.chunks,
+                                  nullptr, &ties));
+  }
+  EXPECT_GT(ties, 0);  // the first-found tie-break is exercised
+}
+
+TEST(OptimalBlocks, ReuseRunsFewerSimulations) {
+  SplitMix64 rng(0x5EF3);
+  const SweepQuery q = random_sweep_query(rng, 3);
+  df::DseStats reused;
+  df::DseStats exhaustive;
+  const OptimalBlockResult got = optimal_blocks_for_buffers(
+      q.sys, q.periods, q.slack, q.chunks, 1, &reused);
+  const OptimalBlockResult want =
+      exhaustive_optimal_blocks(q.sys, q.periods, q.slack, q.chunks, &exhaustive);
+  expect_same_result(got, want);
+  EXPECT_LT(reused.simulations, exhaustive.simulations);
 }
 
 }  // namespace
