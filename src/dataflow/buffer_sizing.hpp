@@ -39,6 +39,9 @@ struct DseStats {
   /// Candidates answered because a component-wise-smaller vector was already
   /// known feasible (monotone pruning, upper side).
   std::int64_t pruned_feasible = 0;
+  /// Iterations the simulations' drift replay jumped instead of simulating
+  /// (ThroughputResult::replayed_iterations, summed).
+  std::int64_t replayed_iterations = 0;
 
   [[nodiscard]] std::int64_t pruned() const {
     return pruned_infeasible + pruned_feasible;
@@ -55,14 +58,17 @@ struct DseStats {
     cache_misses += o.cache_misses;
     pruned_infeasible += o.pruned_infeasible;
     pruned_feasible += o.pruned_feasible;
+    replayed_iterations += o.replayed_iterations;
     return *this;
   }
 };
 
 struct BufferSizingOptions {
-  /// Hard upper bound considered per channel (throws if exceeded). Kept
-  /// moderate by default: self-timed state recurrence takes O(capacity)
-  /// iterations once queues fill, so huge caps make exact analysis slow.
+  /// Hard upper bound on every capacity the searches probe: a capacity
+  /// search throws when no capacity up to it meets its target, and the
+  /// unbounded-channel probe stops at it. The executor jumps the iterations
+  /// in which queues fill at a steady drift, but each change of drift is
+  /// still simulated, so huge caps can make exact analysis slow.
   std::int64_t max_capacity = 4096;
   /// Iteration budget for each underlying throughput analysis.
   std::int64_t max_iterations = 200000;
@@ -83,15 +89,17 @@ struct BufferSizingOptions {
                                           const BufferSizingOptions& opt = {});
 
 /// Maximum achievable throughput with all the given channels opened up to
-/// max_capacity (other buffers untouched). Restores capacities on return.
+/// max_capacity (other buffers untouched): doubling capacities from their
+/// structural minimum until the throughput saturates, with max_capacity
+/// probed last. Restores capacities on return.
 [[nodiscard]] Rational max_throughput_with_unbounded_channels(
     Graph& g, const std::vector<Channel>& channels, ActorId reference,
     const BufferSizingOptions& opt = {});
 
 /// Exact minimum capacity of a single channel such that throughput of
 /// `reference` is >= target, all other buffers untouched. Restores the
-/// original capacity on return. Throws if even max_capacity cannot reach
-/// the target.
+/// original capacity on return. Throws invariant_error if no capacity up to
+/// max_capacity reaches the target.
 [[nodiscard]] std::int64_t min_channel_capacity_for_throughput(
     Graph& g, const Channel& ch, ActorId reference, const Rational& target,
     const BufferSizingOptions& opt = {});

@@ -88,6 +88,7 @@ Rational DseEngine::simulate(std::size_t worker, const CapVec& caps) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.simulations;
     ++stats_.cache_misses;
+    stats_.replayed_iterations += r.replayed_iterations;
   }
   if (r.deadlocked) return Rational(0);
   return r.throughput;
@@ -189,19 +190,19 @@ bool DseEngine::feasible(const std::vector<std::int64_t>& caps,
 Rational DseEngine::max_throughput_unbounded() {
   // Approximate "unbounded" by doubling a uniform finite cap until the
   // throughput saturates; monotonicity makes the last value the supremum
-  // once two consecutive doublings agree.
+  // once two consecutive doublings agree. max_capacity is probed last.
   std::int64_t cap = 1;
   for (const Channel& ch : channels_)
     cap = std::max(cap, channel_capacity_lower_bound(worker_graphs_[0], ch));
   Rational best(-1);
-  while (cap <= opt_.max_capacity) {
+  for (;; cap *= 2) {
+    cap = std::min(cap, opt_.max_capacity);
     const Rational t = throughput(CapVec(channels_.size(), cap));
     if (t == best) return t;  // saturated
     ACC_CHECK_MSG(t > best, "throughput not monotone in capacity (bug)");
     best = t;
-    cap *= 2;
+    if (cap == opt_.max_capacity) return best;
   }
-  return best;
 }
 
 std::int64_t DseEngine::min_capacity_for(std::size_t idx,
@@ -215,17 +216,20 @@ std::int64_t DseEngine::min_capacity_for(std::size_t idx,
     return feasible_on(0, caps, target);
   };
 
+  constexpr const char* kUnreachable =
+      "throughput target unreachable for any capacity up to max_capacity";
   std::int64_t lo =
       channel_capacity_lower_bound(worker_graphs_[0], channels_[idx]);
+  ACC_CHECK_MSG(lo <= opt_.max_capacity, kUnreachable);
   if (probe(lo)) return lo;
-  // Exponential probe for a feasible upper bound, then binary search; valid
-  // because throughput is monotone in the capacity.
-  std::int64_t hi = std::max<std::int64_t>(lo * 2, lo + 1);
-  while (!probe(hi)) {
-    ACC_CHECK_MSG(hi < opt_.max_capacity,
-                  "throughput target unreachable for any channel capacity");
-    hi = std::min(opt_.max_capacity, hi * 2);
-  }
+  // Exponential probe for a feasible upper bound, clamped to max_capacity,
+  // then binary search; valid because throughput is monotone in the
+  // capacity.
+  std::int64_t hi = lo;
+  do {
+    ACC_CHECK_MSG(hi < opt_.max_capacity, kUnreachable);
+    hi = std::min(opt_.max_capacity, std::max<std::int64_t>(hi * 2, hi + 1));
+  } while (!probe(hi));
   while (lo + 1 < hi) {
     const std::int64_t mid = lo + (hi - lo) / 2;
     (probe(mid) ? hi : lo) = mid;

@@ -20,7 +20,9 @@
 //  - simulations skip Graph::validate() (the engine validates its clones
 //    once) and run on one SelfTimedExecutor per worker clone, which keeps
 //    its repetition vector from one simulation to the next and hashes
-//    states without allocating.
+//    states without allocating. The executor jumps the windows in which a
+//    buffer fills at a steady drift (DseStats::replayed_iterations counts
+//    them) and answers exactly as a run without jumps.
 //
 // Results are bit-identical across thread counts: feasibility of a vector is
 // a pure function of the vector, and every search picks winners by candidate
@@ -68,12 +70,14 @@ class DseEngine {
                               const Rational& target);
 
   /// Saturating-doubling estimate of the supremum throughput over the
-  /// managed channels (equivalent to the classic unbounded-channel probe).
+  /// managed channels (equivalent to the classic unbounded-channel probe),
+  /// with max_capacity probed last.
   [[nodiscard]] Rational max_throughput_unbounded();
 
   /// Exact minimum capacity of channel `idx` reaching `target` with the
-  /// other channels fixed at `caps` (exponential probe + binary search).
-  /// Throws invariant_error if even max_capacity cannot reach the target.
+  /// other channels fixed at `caps` (exponential probe clamped to
+  /// max_capacity + binary search). Throws invariant_error if no capacity up
+  /// to max_capacity reaches the target.
   [[nodiscard]] std::int64_t min_capacity_for(std::size_t idx,
                                               std::vector<std::int64_t> caps,
                                               const Rational& target);

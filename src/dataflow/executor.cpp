@@ -1,12 +1,31 @@
 #include "dataflow/executor.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <limits>
 #include <sstream>
 
 namespace acc::df {
 
-SelfTimedExecutor::SelfTimedExecutor(const Graph& g) : g_(g) {
+namespace {
+
+/// Incremental FNV-1a over 64-bit words. Hashing whole words (not bytes)
+/// keeps the loop branch-free and is plenty mixing for recurrence detection.
+struct Fnv1a64 {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+  void mix(std::uint64_t x) {
+    h ^= x;
+    h *= 1099511628211ULL;  // FNV prime
+  }
+  void mix_i64(std::int64_t x) { mix(static_cast<std::uint64_t>(x)); }
+};
+
+/// Windows a check keeps its outcome for when nothing bounds it.
+constexpr std::int64_t kForever = std::numeric_limits<std::int64_t>::max();
+
+}  // namespace
+
+SelfTimedExecutor::SelfTimedExecutor(const Graph& g)
+    : SelfTimedExecutor(g, assume_validated) {
   g_.validate();
   for (ActorId a = 0; a < static_cast<ActorId>(g_.num_actors()); ++a) {
     // An unconstrained auto-concurrent actor could start infinitely many
@@ -15,11 +34,24 @@ SelfTimedExecutor::SelfTimedExecutor(const Graph& g) : g_(g) {
                     "auto-concurrent actor '" + g_.actor(a).name +
                         "' needs at least one input edge");
   }
-  reset();
 }
 
 SelfTimedExecutor::SelfTimedExecutor(const Graph& g, assume_validated_t)
     : g_(g) {
+  for (const Actor& actor : g_.actors()) {
+    const auto a = static_cast<ActorId>(actor_ports_.size());
+    ActorPorts ap{actor.phase_durations.data(),
+                  static_cast<std::int32_t>(actor.phases()),
+                  actor.auto_concurrent,
+                  static_cast<std::int32_t>(ports_.size()), 0, 0};
+    for (EdgeId e : g_.in_edges(a))
+      ports_.push_back({e, g_.edge(e).cons.data()});
+    ap.out = static_cast<std::int32_t>(ports_.size());
+    for (EdgeId e : g_.out_edges(a))
+      ports_.push_back({e, g_.edge(e).prod.data()});
+    ap.end = static_cast<std::int32_t>(ports_.size());
+    actor_ports_.push_back(ap);
+  }
   reset();
 }
 
@@ -36,39 +68,63 @@ void SelfTimedExecutor::reset() {
   in_flight_.assign(g_.num_actors(), 0);
   completed_.assign(g_.num_actors(), 0);
   pending_ = {};
+  confirming_ = false;
 }
 
-bool SelfTimedExecutor::enabled(ActorId a) const {
-  const Actor& actor = g_.actor(a);
-  if (!actor.auto_concurrent && in_flight_[a] > 0) return false;
+bool SelfTimedExecutor::enabled(ActorId a) {
+  const ActorPorts& ap = actor_ports_[a];
+  // A busy serialized actor stays busy in every shifted window: no bound.
+  if (!ap.auto_concurrent && in_flight_[a] > 0) return false;
   const std::int32_t p = next_phase_[a];
-  for (EdgeId eid : g_.in_edges(a)) {
-    const Edge& e = g_.edge(eid);
-    if (tokens_[eid] < e.cons[p]) return false;
+  const Port* in = ports_.data() + ap.in;
+  const Port* const end = ports_.data() + ap.out;
+  if (!confirming_) {
+    for (; in != end; ++in)
+      if (tokens_[in->edge] < in->quanta[p]) return false;
+    return true;
   }
-  return true;
+  // Windows this check keeps its outcome for when every window moves the
+  // tokens by drift_ more. A pass lasts while every draining input still
+  // holds its quantum; a failure while some short input stays short.
+  std::int64_t pass_for = kForever;
+  std::int64_t fail_for = -1;  // -1: no input is short
+  for (; in != end; ++in) {
+    const std::int64_t t = tokens_[in->edge];
+    const std::int64_t q = in->quanta[p];
+    const std::int64_t d = drift_[in->edge];
+    if (t < q) {
+      fail_for = std::max(fail_for, d <= 0 ? kForever : (q - t - 1) / d);
+    } else if (d < 0) {
+      pass_for = std::min(pass_for, (t - q) / -d);
+    }
+  }
+  margin_ = std::min(margin_, fail_for < 0 ? pass_for : fail_for);
+  return fail_for < 0;
 }
 
 void SelfTimedExecutor::start_firing(ActorId a) {
-  const Actor& actor = g_.actor(a);
+  const ActorPorts& ap = actor_ports_[a];
   const std::int32_t p = next_phase_[a];
-  for (EdgeId eid : g_.in_edges(a)) tokens_[eid] -= g_.edge(eid).cons[p];
-  const Time end = now_ + actor.phase_durations[p];
+  for (const Port* in = ports_.data() + ap.in; in != ports_.data() + ap.out;
+       ++in)
+    tokens_[in->edge] -= in->quanta[p];
+  const Time end = now_ + ap.durations[p];
   pending_.push(Event{end, seq_++, a, p});
   ++in_flight_[a];
-  next_phase_[a] =
-      static_cast<std::int32_t>((p + 1) % actor.phases());
+  next_phase_[a] = p + 1 == ap.phases ? 0 : p + 1;
   if (observers_.on_firing) observers_.on_firing(a, p, now_, end);
 }
 
 void SelfTimedExecutor::complete(const Event& ev) {
-  const std::int32_t p = ev.phase;
-  for (EdgeId eid : g_.out_edges(ev.actor)) {
-    const Edge& e = g_.edge(eid);
-    if (e.prod[p] > 0) {
-      tokens_[eid] += e.prod[p];
-      max_tokens_[eid] = std::max(max_tokens_[eid], tokens_[eid]);
-      if (observers_.on_produce) observers_.on_produce(eid, e.prod[p], now_);
+  const ActorPorts& ap = actor_ports_[ev.actor];
+  for (const Port* out = ports_.data() + ap.out;
+       out != ports_.data() + ap.end; ++out) {
+    const std::int64_t q = out->quanta[ev.phase];
+    if (q > 0) {
+      tokens_[out->edge] += q;
+      max_tokens_[out->edge] =
+          std::max(max_tokens_[out->edge], tokens_[out->edge]);
+      if (observers_.on_produce) observers_.on_produce(out->edge, q, now_);
     }
   }
   --in_flight_[ev.actor];
@@ -76,10 +132,10 @@ void SelfTimedExecutor::complete(const Event& ev) {
 }
 
 void SelfTimedExecutor::start_enabled() {
-  for (ActorId a = 0; a < static_cast<ActorId>(g_.num_actors()); ++a) {
+  for (ActorId a = 0; a < static_cast<ActorId>(actor_ports_.size()); ++a) {
     while (enabled(a)) {
       start_firing(a);
-      if (!g_.actor(a).auto_concurrent) break;
+      if (!actor_ports_[a].auto_concurrent) break;
     }
   }
 }
@@ -149,60 +205,88 @@ std::vector<Time> SelfTimedExecutor::completion_times(ActorId actor,
   return times;
 }
 
-namespace {
-
-/// Incremental FNV-1a over 64-bit words. Hashing whole words (not bytes)
-/// keeps the loop branch-free and is plenty mixing for recurrence detection.
-struct Fnv1a64 {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  void mix(std::uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  void mix_i64(std::int64_t x) { mix(static_cast<std::uint64_t>(x)); }
-};
-
-}  // namespace
-
-std::uint64_t SelfTimedExecutor::state_key(std::int64_t overshoot) const {
-  // Timing-relevant state: token counts, next phases, and the relative
-  // offsets of all in-flight completions. Enumerated in the heap's pop
-  // order — (when, seq) ascending — so the hash covers exactly the words
-  // state_key_string() serializes, without the per-call heap copy + string
-  // allocation.
-  Fnv1a64 fnv;
-  fnv.mix_i64(overshoot);
-  for (std::int64_t t : tokens_) fnv.mix_i64(t);
-  for (std::int32_t p : next_phase_) fnv.mix_i64(p);
+const SelfTimedExecutor::Boundary& SelfTimedExecutor::record_boundary(
+    std::int64_t iter, std::int64_t overshoot) {
+  Boundary& b = ring_[ring_head_];
+  ring_head_ = (ring_head_ + 1) % kRing;
+  ring_len_ = std::min(ring_len_ + 1, kRing);
+  b.iter = iter;
+  b.now = now_;
+  // Pending completions in the heap's pop order, (when, seq) ascending,
+  // without popping a copy of the heap.
   scratch_.assign(pending_.container().begin(), pending_.container().end());
   std::sort(scratch_.begin(), scratch_.end(),
-            [](const Event& a, const Event& b) {
-              return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
+            [](const Event& x, const Event& y) {
+              return std::tie(x.when, x.seq) < std::tie(y.when, y.seq);
             });
+  b.shape.assign(1, overshoot);
+  b.shape.insert(b.shape.end(), next_phase_.begin(), next_phase_.end());
   for (const Event& ev : scratch_) {
-    fnv.mix_i64(ev.when - now_);
-    fnv.mix_i64(ev.actor);
-    fnv.mix_i64(ev.phase);
+    b.shape.push_back(ev.when - now_);
+    b.shape.push_back(ev.actor);
+    b.shape.push_back(ev.phase);
   }
-  return fnv.h;
+  Fnv1a64 fnv;
+  for (std::int64_t w : b.shape) fnv.mix_i64(w);
+  b.shape_hash = fnv.h;
+  b.tokens = tokens_;
+  b.completed = completed_;
+  return b;
 }
 
-std::string SelfTimedExecutor::state_key_string(std::int64_t overshoot) const {
-  std::vector<std::int64_t> v;
-  v.reserve(tokens_.size() + next_phase_.size() + pending_.size() * 3 + 1);
-  v.push_back(overshoot);
-  for (std::int64_t t : tokens_) v.push_back(t);
-  for (std::int32_t p : next_phase_) v.push_back(p);
-  auto copy = pending_;
-  while (!copy.empty()) {
-    const Event& ev = copy.top();
-    v.push_back(ev.when - now_);
-    v.push_back(ev.actor);
-    v.push_back(ev.phase);
-    copy.pop();
+std::int64_t SelfTimedExecutor::drift(const Boundary& b,
+                                      std::int64_t max_iterations) {
+  if (confirming_ && b.iter == window_end_) {
+    // The window confirms if it ends in the shape it started in (compared
+    // word by word, not by hash) with the tokens moved by drift_ again.
+    const Boundary& start = ring_[window_slot_];
+    const std::int64_t m = b.iter - start.iter;
+    bool same = b.shape == start.shape;
+    for (std::size_t e = 0; same && e < b.tokens.size(); ++e)
+      same = b.tokens[e] - start.tokens[e] == drift_[e];
+    const std::int64_t k =
+        same ? std::min(margin_, (max_iterations - b.iter) / m) : 0;
+    close_window(k);
+    if (k > 0) {
+      const Time shift = k * (b.now - start.now);
+      for (std::size_t e = 0; e < tokens_.size(); ++e)
+        tokens_[e] += k * drift_[e];
+      for (std::size_t a = 0; a < completed_.size(); ++a)
+        completed_[a] += k * (b.completed[a] - start.completed[a]);
+      now_ += shift;
+      pending_.shift(shift);
+      ring_len_ = 0;
+      return k * m;
+    }
   }
-  return std::string(reinterpret_cast<const char*>(v.data()),
-                     v.size() * sizeof(std::int64_t));
+  if (confirming_) return 0;
+  // Open a window against the nearest kept boundary of the same shape. Its
+  // tokens differ: equal tokens would have been a recurrence.
+  const std::size_t cur = (ring_head_ + kRing - 1) % kRing;
+  for (std::size_t back = 1; back < ring_len_; ++back) {
+    const Boundary& c = ring_[(cur + kRing - back) % kRing];
+    if (c.shape_hash != b.shape_hash || c.shape != b.shape) continue;
+    for (std::size_t e = 0; e < tokens_.size(); ++e)
+      drift_[e] = b.tokens[e] - c.tokens[e];
+    window_slot_ = cur;
+    window_end_ = b.iter + (b.iter - c.iter);
+    margin_ = kForever;
+    max_before_ = max_tokens_;
+    max_tokens_ = tokens_;
+    confirming_ = true;
+    break;
+  }
+  return 0;
+}
+
+void SelfTimedExecutor::close_window(std::int64_t k) {
+  if (!confirming_) return;
+  confirming_ = false;
+  // max_tokens_ holds the window's maximum; a growing edge peaks k drifts
+  // above it in the last jumped window.
+  for (std::size_t e = 0; e < max_tokens_.size(); ++e)
+    max_tokens_[e] = std::max(
+        max_before_[e], max_tokens_[e] + (drift_[e] > 0 ? k * drift_[e] : 0));
 }
 
 DeadlockReport diagnose_deadlock(const Graph& g, Time horizon) {
@@ -249,6 +333,26 @@ std::string describe(const DeadlockReport& r, const Graph& g) {
 
 ThroughputResult SelfTimedExecutor::analyze_throughput(
     ActorId reference, std::int64_t max_iterations) {
+  // Observers must see every firing, so nothing jumps while one is set.
+  const bool replay = !observers_.on_firing && !observers_.on_produce;
+  const ThroughputResult out = analyze(reference, max_iterations, replay);
+  close_window(0);
+#ifndef NDEBUG
+  if (out.replayed_iterations > 0) {
+    const ThroughputResult plain = analyze(reference, max_iterations, false);
+    ACC_CHECK_MSG(plain.deadlocked == out.deadlocked &&
+                      plain.throughput == out.throughput &&
+                      plain.period == out.period &&
+                      plain.firings_in_period == out.firings_in_period,
+                  "drift replay changed a throughput analysis");
+  }
+#endif
+  return out;
+}
+
+ThroughputResult SelfTimedExecutor::analyze(ActorId reference,
+                                            std::int64_t max_iterations,
+                                            bool replay) {
   if (rv_firings_.empty()) {
     RepetitionVector rv = compute_repetition_vector(g_);
     ACC_EXPECTS_MSG(rv.consistent,
@@ -259,52 +363,81 @@ ThroughputResult SelfTimedExecutor::analyze_throughput(
   ACC_CHECK(ref_per_iter > 0);
 
   reset();
+  // Every analysis fills the ring from slot 0, so an executor allocates only
+  // the slots its longest analysis uses.
+  ring_.resize(kRing);
+  ring_head_ = 0;
+  ring_len_ = 0;
+  drift_.resize(tokens_.size());
   ThroughputResult out;
 
   // States observed at iteration boundaries of the reference actor, keyed by
-  // the 64-bit state hash. The key holds the reference's overshoot past the
-  // boundary: an auto-concurrent reference can complete several firings at
-  // one instant, and two boundaries passed at one instant must not look like
-  // a period. A hash collision would mis-detect a recurrence; builds without
-  // NDEBUG cross-check every hash against the full state.
-  std::unordered_map<std::uint64_t, std::pair<Time, std::int64_t>> seen;
+  // the 64-bit hash of the boundary's shape and tokens. The shape holds the
+  // reference's overshoot past the boundary: an auto-concurrent reference
+  // can complete several firings at one instant, and two boundaries passed
+  // at one instant must not look like a period. A hash collision would
+  // mis-detect a recurrence; builds without NDEBUG cross-check every hash
+  // against the full state.
+  struct Seen {
+    Time now;
+    std::int64_t completed;
+    std::int64_t iter;
+  };
+  std::unordered_map<std::uint64_t, Seen> seen;
 #ifndef NDEBUG
   std::unordered_map<std::uint64_t, std::string> seen_full;
 #endif
+  std::int64_t landed = 0;  // iteration the last jump landed on
   for (std::int64_t iter = 1; iter <= max_iterations; ++iter) {
     if (!run_until_firings(reference, iter * ref_per_iter).has_value()) {
       out.deadlocked = true;
       return out;
     }
-    const std::int64_t overshoot = completed_[reference] - iter * ref_per_iter;
-    const std::uint64_t key = state_key(overshoot);
+    for (;;) {  // once per boundary, and again where a jump lands
+      const Boundary& b = record_boundary(
+          iter, completed_[reference] - iter * ref_per_iter);
+      Fnv1a64 fnv{b.shape_hash};
+      for (std::int64_t t : tokens_) fnv.mix_i64(t);
+      const std::uint64_t key = fnv.h;
 #ifndef NDEBUG
-    {
-      const std::string full = state_key_string(overshoot);
-      const auto fit = seen_full.find(key);
-      ACC_CHECK_MSG(fit == seen_full.end() || fit->second == full,
-                    "state_key 64-bit hash collision");
-      seen_full.emplace(key, full);
-    }
-#endif
-    const auto it = seen.find(key);
-    if (it != seen.end()) {
-      const Time t0 = it->second.first;
-      const std::int64_t f0 = it->second.second;
-      out.period = now_ - t0;
-      out.firings_in_period = completed_[reference] - f0;
-      ACC_CHECK(out.firings_in_period > 0);
-      if (out.period == 0) {
-        // Entire period executes in zero time: unbounded rate. Model as a
-        // gigantic-but-finite rate so callers can still compare.
-        out.throughput = Rational(INT64_MAX / 2);
-      } else {
-        out.throughput = Rational(out.firings_in_period, out.period);
+      {
+        std::string full(reinterpret_cast<const char*>(b.shape.data()),
+                         b.shape.size() * sizeof(std::int64_t));
+        full.append(reinterpret_cast<const char*>(tokens_.data()),
+                    tokens_.size() * sizeof(std::int64_t));
+        const auto fit = seen_full.find(key);
+        ACC_CHECK_MSG(fit == seen_full.end() || fit->second == full,
+                      "state hash collision");
+        seen_full.emplace(key, std::move(full));
       }
-      out.transient_iterations = iter;
-      return out;
+#endif
+      const auto it = seen.find(key);
+      if (it != seen.end()) {
+        // Between two recorded boundaries with no jump in between, the
+        // first repeat is the period. A jump between them may have skipped
+        // a nearer repeat, so that case is answered without jumps.
+        if (it->second.iter < landed)
+          return analyze(reference, max_iterations, false);
+        out.period = now_ - it->second.now;
+        out.firings_in_period = completed_[reference] - it->second.completed;
+        ACC_CHECK(out.firings_in_period > 0);
+        if (out.period == 0) {
+          // Entire period executes in zero time: unbounded rate. Model as a
+          // gigantic-but-finite rate so callers can still compare.
+          out.throughput = Rational(INT64_MAX / 2);
+        } else {
+          out.throughput = Rational(out.firings_in_period, out.period);
+        }
+        out.transient_iterations = iter;
+        return out;
+      }
+      seen.emplace(key, Seen{now_, completed_[reference], iter});
+      const std::int64_t jumped = replay ? drift(b, max_iterations) : 0;
+      if (jumped == 0) break;
+      iter += jumped;
+      out.replayed_iterations += jumped;
+      landed = iter;
     }
-    seen.emplace(key, std::make_pair(now_, completed_[reference]));
   }
   throw invariant_error(
       "analyze_throughput: no periodic state within iteration budget");

@@ -70,6 +70,43 @@ TEST(BufferSizing, UnreachableTargetThrows) {
                invariant_error);
 }
 
+// max_capacity bounds every search: no capacity above it is probed or
+// returned, and the unbounded-channel probe ends with max_capacity itself.
+TEST(BufferSizing, SearchesStayWithinMaxCapacity) {
+  // A fills and B drains 5 tokens per 5-cycle firing: a rate of 1/5 needs
+  // room for both at once.
+  ProducerConsumer pc = make_pc(5, 5, 5, 5, 5);
+  BufferSizingOptions opt;
+  for (const std::int64_t cap : {6, 7, 8, 9}) {
+    opt.max_capacity = cap;
+    EXPECT_THROW((void)min_channel_capacity_for_throughput(
+                     pc.g, pc.ch, pc.a, Rational(1, 5), opt),
+                 invariant_error)
+        << "max_capacity=" << cap;
+  }
+  opt.max_capacity = 10;
+  EXPECT_EQ(min_channel_capacity_for_throughput(pc.g, pc.ch, pc.a,
+                                                Rational(1, 5), opt),
+            10);
+  // Below the structural minimum of 5 the channel deadlocks the graph, and
+  // no target is reachable, not even the rate 1/10 that 5 gives.
+  opt.max_capacity = 4;
+  EXPECT_EQ(max_throughput_with_unbounded_channels(pc.g, {pc.ch}, pc.a, opt),
+            Rational(0));
+  EXPECT_THROW((void)min_channel_capacity_for_throughput(
+                   pc.g, pc.ch, pc.a, Rational(1, 10), opt),
+               invariant_error);
+
+  // Doubling from the minimum 6 would stop at 6; capacity 8 does better.
+  ProducerConsumer wide = make_pc(3, 1, 2, 6, 8);
+  const Rational at_max = measure_throughput(wide.g, wide.b);
+  EXPECT_EQ(at_max, Rational(1, 9));
+  opt.max_capacity = 8;
+  EXPECT_EQ(
+      max_throughput_with_unbounded_channels(wide.g, {wide.ch}, wide.b, opt),
+      at_max);
+}
+
 TEST(BufferSizing, MaxThroughputWithUnboundedChannels) {
   ProducerConsumer pc = make_pc(3, 1, 1, 1, 1);
   const Rational best = max_throughput_with_unbounded_channels(
