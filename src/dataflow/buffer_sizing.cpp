@@ -65,16 +65,4 @@ std::vector<ParetoPoint> pareto_buffer_sweep(Graph& g, const Channel& ch,
   return out;
 }
 
-MultiBufferResult minimize_total_capacity(Graph& g,
-                                          const std::vector<Channel>& channels,
-                                          ActorId reference,
-                                          const Rational& target,
-                                          const BufferSizingOptions& opt) {
-  ACC_EXPECTS(!channels.empty());
-  DseEngine engine(g, channels, reference, opt);
-  const MultiBufferResult res = engine.minimize_total(target);
-  flush_stats(opt, engine);
-  return res;
-}
-
 }  // namespace acc::df

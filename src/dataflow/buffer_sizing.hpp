@@ -10,7 +10,8 @@
 //    binary search is exact when one capacity varies;
 //  - for several channels, an exhaustive staircase search over total
 //    capacity finds the exact minimum-total assignment for small graphs
-//    (the sizes the paper's models have).
+//    (the sizes the paper's models have): DseEngine::minimize_total in
+//    dataflow/dse.hpp.
 #pragma once
 
 #include <cstdint>
@@ -122,15 +123,5 @@ struct ParetoPoint {
 [[nodiscard]] std::vector<ParetoPoint> pareto_buffer_sweep(
     Graph& g, const Channel& ch, ActorId reference,
     const BufferSizingOptions& opt = {});
-
-/// Exact minimum-total capacity assignment over `channels` such that the
-/// throughput target is met. Exhaustive staircase search (exponential in the
-/// channel count — intended for the small analysis graphs of the paper),
-/// executed by the DSE engine: memoized, monotone-pruned, and parallel over
-/// `opt.jobs` workers with thread-count-independent results.
-/// Restores original capacities on return.
-[[nodiscard]] MultiBufferResult minimize_total_capacity(
-    Graph& g, const std::vector<Channel>& channels, ActorId reference,
-    const Rational& target, const BufferSizingOptions& opt = {});
 
 }  // namespace acc::df

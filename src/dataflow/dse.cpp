@@ -15,6 +15,39 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t x) {
   return h * kFnvPrime;
 }
 
+/// Throughput of an analysis, deadlock reporting as 0.
+Rational throughput_of(const ThroughputResult& r) {
+  return r.deadlocked ? Rational(0) : r.throughput;
+}
+
+/// Structural fingerprint: everything that determines throughput except the
+/// managed capacities (those are the memo key). Managed space edges
+/// contribute their rates but not their token count.
+std::uint64_t fingerprint_of(const Graph& g,
+                             const std::vector<Channel>& channels,
+                             ActorId reference) {
+  std::vector<bool> managed_space(g.num_edges(), false);
+  for (const Channel& ch : channels)
+    managed_space[static_cast<std::size_t>(ch.space)] = true;
+  std::uint64_t h = fnv_mix(kFnvOffset, g.num_actors());
+  for (const Actor& a : g.actors()) {
+    h = fnv_mix(h, a.phases());
+    for (Time d : a.phase_durations) h = fnv_mix(h, static_cast<std::uint64_t>(d));
+    h = fnv_mix(h, a.auto_concurrent ? 1 : 0);
+  }
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    const Edge& ed = g.edge(static_cast<EdgeId>(e));
+    h = fnv_mix(h, static_cast<std::uint64_t>(ed.src));
+    h = fnv_mix(h, static_cast<std::uint64_t>(ed.dst));
+    for (std::int64_t q : ed.prod) h = fnv_mix(h, static_cast<std::uint64_t>(q));
+    for (std::int64_t q : ed.cons) h = fnv_mix(h, static_cast<std::uint64_t>(q));
+    h = fnv_mix(h, managed_space[e]
+                       ? 0x5eed
+                       : static_cast<std::uint64_t>(ed.initial_tokens));
+  }
+  return fnv_mix(h, static_cast<std::uint64_t>(reference));
+}
+
 }  // namespace
 
 std::size_t DseEngine::CapVecHash::operator()(const CapVec& v) const {
@@ -44,30 +77,7 @@ DseEngine::DseEngine(const Graph& g, std::vector<Channel> channels,
   worker_execs_.reserve(pool_.size());
   for (const Graph& clone : worker_graphs_)
     worker_execs_.emplace_back(clone, assume_validated);
-
-  // Structural fingerprint: everything that determines throughput except the
-  // managed capacities (those are the memo key). Managed space edges
-  // contribute their rates but not their token count.
-  std::vector<bool> managed_space(g.num_edges(), false);
-  for (const Channel& ch : channels_)
-    managed_space[static_cast<std::size_t>(ch.space)] = true;
-  std::uint64_t h = fnv_mix(kFnvOffset, g.num_actors());
-  for (const Actor& a : g.actors()) {
-    h = fnv_mix(h, a.phases());
-    for (Time d : a.phase_durations) h = fnv_mix(h, static_cast<std::uint64_t>(d));
-    h = fnv_mix(h, a.auto_concurrent ? 1 : 0);
-  }
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    const Edge& ed = g.edge(static_cast<EdgeId>(e));
-    h = fnv_mix(h, static_cast<std::uint64_t>(ed.src));
-    h = fnv_mix(h, static_cast<std::uint64_t>(ed.dst));
-    for (std::int64_t q : ed.prod) h = fnv_mix(h, static_cast<std::uint64_t>(q));
-    for (std::int64_t q : ed.cons) h = fnv_mix(h, static_cast<std::uint64_t>(q));
-    h = fnv_mix(h, managed_space[e]
-                       ? 0x5eed
-                       : static_cast<std::uint64_t>(ed.initial_tokens));
-  }
-  fingerprint_ = fnv_mix(h, static_cast<std::uint64_t>(reference_));
+  fingerprint_ = fingerprint_of(g, channels_, reference_);
 }
 
 std::vector<std::int64_t> DseEngine::snapshot_capacities() const {
@@ -78,20 +88,23 @@ std::vector<std::int64_t> DseEngine::snapshot_capacities() const {
   return caps;
 }
 
-Rational DseEngine::simulate(std::size_t worker, const CapVec& caps) {
+ThroughputResult DseEngine::run(std::size_t worker, const CapVec& caps) {
   Graph& g = worker_graphs_[worker];
   for (std::size_t i = 0; i < channels_.size(); ++i)
     g.set_channel_capacity(channels_[i], caps[i]);
-  const ThroughputResult r =
-      worker_execs_[worker].analyze_throughput(reference_, opt_.max_iterations);
+  return worker_execs_[worker].analyze_throughput(reference_,
+                                                  opt_.max_iterations);
+}
+
+Rational DseEngine::simulate(std::size_t worker, const CapVec& caps) {
+  const ThroughputResult r = run(worker, caps);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.simulations;
     ++stats_.cache_misses;
     stats_.replayed_iterations += r.replayed_iterations;
   }
-  if (r.deadlocked) return Rational(0);
-  return r.throughput;
+  return throughput_of(r);
 }
 
 Rational DseEngine::throughput_on(std::size_t worker, const CapVec& caps) {
@@ -106,7 +119,7 @@ Rational DseEngine::throughput_on(std::size_t worker, const CapVec& caps) {
   const Rational t = simulate(worker, caps);
   std::lock_guard<std::mutex> lock(mu_);
   memo_.emplace(caps, t);
-  if (has_target_) frontier_note(caps, t >= target_);
+  if (has_target_) frontier_note(frontier_point(caps), t >= target_);
   return t;
 }
 
@@ -115,20 +128,45 @@ Rational DseEngine::throughput(const std::vector<std::int64_t>& caps) {
   return throughput_on(0, caps);
 }
 
-std::optional<bool> DseEngine::frontier_implies(const CapVec& caps) const {
+DseEngine::CapVec DseEngine::frontier_point(const CapVec& caps) const {
+  CapVec point;
+  point.reserve(caps.size() + 1);
+  point.assign(caps.begin(), caps.end());
+  point.push_back(-duration_);
+  return point;
+}
+
+std::optional<DseEngine::Implied> DseEngine::frontier_implies(
+    const CapVec& point) const {
   const auto dominates = [&](const CapVec& a, const CapVec& b) {
     for (std::size_t i = 0; i < a.size(); ++i)
       if (a[i] < b[i]) return false;
     return true;  // a >= b component-wise
   };
   for (const CapVec& f : feasible_min_)
-    if (dominates(caps, f)) return true;  // caps >= feasible point
+    if (dominates(point, f)) return Implied{true, -f.back()};
   for (const CapVec& v : infeasible_max_)
-    if (dominates(v, caps)) return false;  // caps <= infeasible point
+    if (dominates(v, point)) return Implied{false, -v.back()};
   return std::nullopt;
 }
 
-void DseEngine::frontier_note(const CapVec& caps, bool ok) {
+std::optional<bool> DseEngine::pruned_verdict(
+    [[maybe_unused]] std::size_t worker, const CapVec& caps,
+    [[maybe_unused]] const Rational& target) {
+  const std::optional<Implied> implied = frontier_implies(frontier_point(caps));
+  if (!implied) return std::nullopt;
+  ++(implied->feasible ? stats_.pruned_feasible : stats_.pruned_infeasible);
+#ifndef NDEBUG
+  if (implied->decided_at != duration_) {
+    ACC_CHECK_MSG((throughput_of(run(worker, caps)) >= target) ==
+                      implied->feasible,
+                  "throughput not monotone in the re-timed duration");
+  }
+#endif
+  return implied->feasible;
+}
+
+void DseEngine::frontier_note(const CapVec& point, bool ok) {
   const auto dominates = [](const CapVec& a, const CapVec& b) {
     for (std::size_t i = 0; i < a.size(); ++i)
       if (a[i] < b[i]) return false;
@@ -138,13 +176,13 @@ void DseEngine::frontier_note(const CapVec& caps, bool ok) {
   // Keep the set an antichain: feasible points are useful when minimal,
   // infeasible points when maximal.
   for (const CapVec& p : set) {
-    const bool redundant = ok ? dominates(caps, p) : dominates(p, caps);
+    const bool redundant = ok ? dominates(point, p) : dominates(p, point);
     if (redundant) return;
   }
   std::erase_if(set, [&](const CapVec& p) {
-    return ok ? dominates(p, caps) : dominates(caps, p);
+    return ok ? dominates(p, point) : dominates(point, p);
   });
-  set.push_back(caps);
+  set.push_back(point);
 }
 
 void DseEngine::set_target(const Rational& target) {
@@ -164,19 +202,18 @@ bool DseEngine::feasible_on(std::size_t worker, const CapVec& caps,
     if (it != memo_.end()) {
       ++stats_.cache_hits;
       const bool ok = it->second >= target;
-      frontier_note(caps, ok);
+      frontier_note(frontier_point(caps), ok);
       return ok;
     }
-    if (const std::optional<bool> implied = frontier_implies(caps)) {
-      ++(*implied ? stats_.pruned_feasible : stats_.pruned_infeasible);
+    if (const std::optional<bool> implied =
+            pruned_verdict(worker, caps, target))
       return *implied;
-    }
   }
   const Rational t = simulate(worker, caps);
   std::lock_guard<std::mutex> lock(mu_);
   memo_.emplace(caps, t);
   const bool ok = t >= target;
-  frontier_note(caps, ok);
+  frontier_note(frontier_point(caps), ok);
   return ok;
 }
 
@@ -334,8 +371,7 @@ MultiBufferResult DseEngine::minimize_total(const Rational& target) {
           ++stats_.cache_hits;
           st[i] = it->second >= target ? St::feas : St::infeas;
         } else if (const std::optional<bool> implied =
-                       frontier_implies(cands[i])) {
-          ++(*implied ? stats_.pruned_feasible : stats_.pruned_infeasible);
+                       pruned_verdict(0, cands[i], target)) {
           st[i] = *implied ? St::feas : St::infeas;
         }
       }
@@ -386,6 +422,26 @@ MultiBufferResult DseEngine::minimize_total(const Rational& target) {
   }
   throw invariant_error(
       "minimize_total_capacity: upper-bound assignment infeasible (bug)");
+}
+
+void DseEngine::retime(ActorId actor, Time duration) {
+  ACC_EXPECTS_MSG(timed_ == kInvalidActor || timed_ == actor,
+                  "an engine re-times one actor only");
+  ACC_EXPECTS_MSG(worker_graphs_[0].actor(actor).phases() == 1,
+                  "re-timed actor must be SDF");
+  std::lock_guard<std::mutex> lock(mu_);
+  if (timed_ == kInvalidActor) {
+    // Points decided so far were decided at the snapshot's duration.
+    timed_ = actor;
+    duration_ = worker_graphs_[0].actor(actor).phase_durations[0];
+    for (CapVec& p : feasible_min_) p.back() = -duration_;
+    for (CapVec& p : infeasible_max_) p.back() = -duration_;
+  }
+  if (duration == duration_) return;
+  for (Graph& g : worker_graphs_) g.set_actor_duration(actor, duration);
+  duration_ = duration;
+  memo_.clear();
+  fingerprint_ = fingerprint_of(worker_graphs_[0], channels_, reference_);
 }
 
 DseStats DseEngine::stats() const {

@@ -22,7 +22,22 @@
 //    its repetition vector from one simulation to the next and hashes
 //    states without allocating. The executor jumps the windows in which a
 //    buffer fills at a steady drift (DseStats::replayed_iterations counts
-//    them) and answers exactly as a run without jumps.
+//    them) and answers exactly as a run without jumps;
+//  - re-timing: `retime` changes one actor's firing duration on every
+//    clone, for a search over that duration (the shared actor of the
+//    paper's Fig. 7 model runs for gamma_hat, which varies with the
+//    block-size vector). Self-timed execution is monotone in every firing
+//    duration (the earlier-the-better order the paper's refinement rests
+//    on), so throughput can only fall as the duration grows. Each frontier
+//    point therefore carries the timed actor's duration, negated, as one
+//    more coordinate: feasible at (c, d) implies feasible at every
+//    c' >= c, d' <= d, infeasible implies infeasible the other way, and
+//    the dominance tests are unchanged. The frontier survives a re-time;
+//    the memo, which holds throughputs of one timing, is cleared. Minimum
+//    buffers are non-monotone in the block size (Fig. 8), not in the
+//    duration, so the extra coordinate prunes exactly. Builds without
+//    NDEBUG re-simulate every verdict implied by a point decided at
+//    another duration and check that the two agree.
 //
 // Results are bit-identical across thread counts: feasibility of a vector is
 // a pure function of the vector, and every search picks winners by candidate
@@ -88,9 +103,18 @@ class DseEngine {
   [[nodiscard]] std::vector<ParetoPoint> pareto_sweep(std::size_t idx);
 
   /// Exact minimum-total capacity assignment meeting `target` — the parallel,
-  /// memoized, pruned replacement of the serial budget-staircase DFS. The
-  /// result (vector and total) is independent of the thread count.
+  /// memoized, pruned replacement of the serial budget-staircase DFS
+  /// (exponential in the channel count: meant for the paper's small
+  /// analysis graphs). The result (vector and total) is independent of the
+  /// thread count. Throws invariant_error if the target is unreachable
+  /// within max_capacity.
   [[nodiscard]] MultiBufferResult minimize_total(const Rational& target);
+
+  /// Set the firing duration of the single-phase actor `actor` to
+  /// `duration` on every worker clone. Keeps the monotone frontier (see the
+  /// file comment) and clears the memo. An engine re-times one actor only;
+  /// call between searches, never from inside one.
+  void retime(ActorId actor, Time duration);
 
   /// Snapshot of the counters (thread-safe).
   [[nodiscard]] DseStats stats() const;
@@ -102,7 +126,17 @@ class DseEngine {
     std::size_t operator()(const CapVec& v) const;
   };
 
-  /// Run one simulation on the given worker's private graph clone.
+  /// A verdict the frontier implies, with the duration at which the
+  /// frontier point that decided it was simulated.
+  struct Implied {
+    bool feasible = false;
+    Time decided_at = 0;
+  };
+
+  /// Analyze `caps` on the given worker's private graph clone, outside the
+  /// memo and the counters.
+  [[nodiscard]] ThroughputResult run(std::size_t worker, const CapVec& caps);
+  /// The throughput of run(), counted as a simulation.
   [[nodiscard]] Rational simulate(std::size_t worker, const CapVec& caps);
   /// Memoized throughput usable from pool tasks.
   [[nodiscard]] Rational throughput_on(std::size_t worker, const CapVec& caps);
@@ -110,12 +144,22 @@ class DseEngine {
   [[nodiscard]] bool feasible_on(std::size_t worker, const CapVec& caps,
                                  const Rational& target);
 
+  /// `caps` extended by the frontier's duration coordinate.
+  [[nodiscard]] CapVec frontier_point(const CapVec& caps) const;
   /// Frontier lookup: nullopt if the point's feasibility is not implied.
   /// Must be called with mu_ held.
-  [[nodiscard]] std::optional<bool> frontier_implies(const CapVec& caps) const;
+  [[nodiscard]] std::optional<Implied> frontier_implies(
+      const CapVec& point) const;
+  /// The frontier's verdict on `caps` at the current duration, counted as
+  /// a pruning win. Builds without NDEBUG re-simulate a verdict decided at
+  /// another duration on `worker` and check it. Must be called with mu_
+  /// held.
+  [[nodiscard]] std::optional<bool> pruned_verdict(std::size_t worker,
+                                                   const CapVec& caps,
+                                                   const Rational& target);
   /// Record a decided point into the frontier (dominance-filtered).
   /// Must be called with mu_ held.
-  void frontier_note(const CapVec& caps, bool ok);
+  void frontier_note(const CapVec& point, bool ok);
   /// Reset the frontier when the feasibility target changes. Locks mu_.
   void set_target(const Rational& target);
 
@@ -134,6 +178,10 @@ class DseEngine {
   std::unordered_map<CapVec, Rational, CapVecHash> memo_;
   Rational target_;
   bool has_target_ = false;
+  /// The actor retime() varies (none before its first call) and the
+  /// duration every frontier point of this timing ends with, negated.
+  ActorId timed_ = kInvalidActor;
+  Time duration_ = 0;
   std::vector<CapVec> feasible_min_;    // minimal known-feasible points
   std::vector<CapVec> infeasible_max_;  // maximal known-infeasible points
   DseStats stats_;

@@ -101,7 +101,8 @@ inline constexpr assume_validated_t assume_validated{};
 class SelfTimedExecutor {
  public:
   /// The graph must outlive the executor and must validate(). Only its
-  /// initial tokens (capacities) may change while the executor exists.
+  /// initial tokens (capacities) and actor durations (set_actor_duration)
+  /// may change while the executor exists.
   explicit SelfTimedExecutor(const Graph& g);
   /// Skip structural validation: the caller guarantees g.validate() passed
   /// (capacity changes via set_channel_capacity never invalidate a graph).
@@ -129,11 +130,11 @@ class SelfTimedExecutor {
   /// Detect the periodic steady state by state recurrence at iteration
   /// boundaries of `reference` and return the exact throughput. Requires a
   /// consistent graph. `max_iterations` bounds the search. Resets first, so
-  /// one executor answers repeated calls after set_channel_capacity; the
-  /// repetition vector is computed on the first call and kept (capacities
-  /// do not change it). Jumps confirmed drift windows unless an observer is
-  /// installed; the result equals that of a run without jumps, which builds
-  /// without NDEBUG re-run to check.
+  /// one executor answers repeated calls after set_channel_capacity or
+  /// set_actor_duration; the repetition vector is computed on the first
+  /// call and kept (neither changes it). Jumps confirmed drift windows
+  /// unless an observer is installed; the result equals that of a run
+  /// without jumps, which builds without NDEBUG re-run to check.
   ThroughputResult analyze_throughput(ActorId reference,
                                       std::int64_t max_iterations = 100000);
 

@@ -91,6 +91,13 @@ void Graph::set_initial_tokens(EdgeId e, std::int64_t tokens) {
   edges_[e].initial_tokens = tokens;
 }
 
+void Graph::set_actor_duration(ActorId a, Time duration) {
+  ACC_EXPECTS(a >= 0 && static_cast<std::size_t>(a) < actors_.size());
+  ACC_EXPECTS_MSG(actors_[a].phases() == 1, "re-timed actor must be SDF");
+  ACC_EXPECTS_MSG(duration >= 0, "negative duration");
+  actors_[a].phase_durations[0] = duration;
+}
+
 ActorId Graph::find_actor(const std::string& name) const {
   const auto it = std::find_if(actors_.begin(), actors_.end(),
                                [&](const Actor& a) { return a.name == name; });

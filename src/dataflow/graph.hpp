@@ -112,6 +112,10 @@ class Graph {
   /// Mutable access to an edge's initial tokens (buffer-sizing sweeps).
   void set_initial_tokens(EdgeId e, std::int64_t tokens);
 
+  /// Re-time a single-phase actor in place. Executors over this graph read
+  /// durations through it, so they see the new duration on their next run.
+  void set_actor_duration(ActorId a, Time duration);
+
   [[nodiscard]] const std::vector<Actor>& actors() const { return actors_; }
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
 

@@ -1,11 +1,13 @@
 #include "sharing/blocksize.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <deque>
 #include <map>
+#include <set>
 #include <tuple>
+#include <utility>
 
-#include "dataflow/buffer_sizing.hpp"
+#include "dataflow/dse.hpp"
 #include "ilp/model.hpp"
 #include "sharing/analysis.hpp"
 #include "sharing/sdf_model.hpp"
@@ -127,6 +129,121 @@ std::vector<Rational> block_size_real_relaxation(const SharedSystemSpec& sys) {
   return out;
 }
 
+namespace {
+
+/// Can the Fig. 7 shared actor, delivering eta samples per gamma cycles,
+/// keep up with one sample per sample_period at all?
+bool delivers(std::int64_t eta, Time gamma, Time sample_period) {
+  return Rational(eta, gamma) >= Rational(1, sample_period);
+}
+
+/// Stream s's buffer question at block size eta_s: its Fig. 7 model, the
+/// consumer's target rate and one DSE engine over alpha0/alpha3. Only the
+/// shared actor's duration gamma_hat depends on the other streams' blocks;
+/// size() re-times the engine to it, so one sizer answers every gamma_hat
+/// of a (s, eta_s) and the engine's monotone frontier carries over.
+class StreamSizer {
+ public:
+  StreamSizer(std::int64_t eta, Time gamma, Time sample_period,
+              std::int64_t consumer_chunk, int jobs)
+      // The consumer sustains one sample per sample_period = one firing per
+      // chunk * sample_period.
+      : target_(Rational(1, sample_period) / Rational(consumer_chunk)),
+        model_(build_model(eta, gamma, sample_period, consumer_chunk)),
+        engine_(model_.graph, {model_.input_buffer, model_.output_buffer},
+                model_.consumer, engine_options(eta, consumer_chunk, jobs)) {}
+
+  /// Minimum alpha0/alpha3 with the shared actor firing for `gamma` cycles;
+  /// the caller has checked delivers(eta, gamma, sample_period).
+  [[nodiscard]] StreamBufferResult size(Time gamma) {
+    engine_.retime(model_.shared, gamma);
+    const df::MultiBufferResult res = engine_.minimize_total(target_);
+    StreamBufferResult out;
+    out.feasible = true;
+    out.alpha0 = res.capacities[0];
+    out.alpha3 = res.capacities[1];
+    return out;
+  }
+
+  [[nodiscard]] df::DseStats stats() const { return engine_.stats(); }
+
+ private:
+  /// Generous starting capacities; the searches shrink them.
+  static std::int64_t cap0(std::int64_t eta, std::int64_t consumer_chunk) {
+    return 4 * eta + 8 * consumer_chunk + 4;
+  }
+
+  static SdfStreamModel build_model(std::int64_t eta, Time gamma,
+                                    Time sample_period,
+                                    std::int64_t consumer_chunk) {
+    SdfModelOptions opt;
+    opt.eta = eta;
+    opt.shared_duration = gamma;
+    opt.producer_period = sample_period;
+    opt.consumer_period = consumer_chunk * sample_period;
+    opt.consumer_chunk = consumer_chunk;
+    opt.alpha0 = cap0(eta, consumer_chunk);
+    opt.alpha3 = opt.alpha0;
+    return build_sdf_stream_model(opt);
+  }
+
+  static df::BufferSizingOptions engine_options(std::int64_t eta,
+                                                std::int64_t consumer_chunk,
+                                                int jobs) {
+    df::BufferSizingOptions bopt;
+    bopt.max_capacity = cap0(eta, consumer_chunk);
+    bopt.jobs = jobs;
+    return bopt;
+  }
+
+  Rational target_;
+  SdfStreamModel model_;
+  df::DseEngine engine_;
+};
+
+/// `sorted` (ascending, distinct) in the order a sizer visits it: smallest,
+/// largest, then the midpoints of the gaps between visited values,
+/// breadth-first. The smallest duration's infeasible points bound every
+/// larger one from below and the largest's feasible points every smaller
+/// one from above, so each midpoint starts between two frontiers.
+std::vector<Time> extremes_first(const std::vector<Time>& sorted) {
+  std::vector<Time> order{sorted.front()};
+  if (sorted.size() > 1) order.push_back(sorted.back());
+  std::deque<std::pair<std::size_t, std::size_t>> gaps{{0, sorted.size() - 1}};
+  while (!gaps.empty()) {
+    const auto [lo, hi] = gaps.front();
+    gaps.pop_front();
+    if (hi - lo < 2) continue;
+    const std::size_t mid = lo + (hi - lo) / 2;
+    order.push_back(sorted[mid]);
+    gaps.emplace_back(lo, mid);
+    gaps.emplace_back(mid, hi);
+  }
+  return order;
+}
+
+/// Calls visit(etas, gamma_hat) for every block-size vector from `base` up
+/// to `slack` extra samples per stream that meets every stream's
+/// throughput, in lexicographic order (the last stream varies fastest).
+template <class Visit>
+void for_each_block_vector(const SharedSystemSpec& sys,
+                           const std::vector<std::int64_t>& base,
+                           std::int64_t slack, Visit visit) {
+  std::vector<std::int64_t> etas(base);
+  for (;;) {
+    if (throughput_met(sys, etas)) visit(etas, gamma_hat(sys, etas));
+    std::size_t idx = etas.size();
+    while (idx > 0 && etas[idx - 1] == base[idx - 1] + slack) {
+      --idx;
+      etas[idx] = base[idx];
+    }
+    if (idx == 0) return;
+    ++etas[idx - 1];
+  }
+}
+
+}  // namespace
+
 StreamBufferResult min_buffers_for_stream(
     const SharedSystemSpec& sys, std::size_t stream,
     const std::vector<std::int64_t>& etas, Time sample_period,
@@ -139,36 +256,12 @@ StreamBufferResult min_buffers_for_stream(
 
   const std::int64_t eta = etas[stream];
   const Time gamma = gamma_hat(sys, etas);
-  // The consumer sustains one sample per sample_period = one firing per
-  // chunk * sample_period.
-  const Rational target = Rational(1, sample_period) / Rational(consumer_chunk);
-  StreamBufferResult out;
-  // The abstract shared actor delivers eta samples per gamma cycles at most;
-  // a faster sample period is structurally impossible.
-  if (Rational(eta, gamma) < Rational(1, sample_period)) return out;
-
-  SdfModelOptions opt;
-  opt.eta = eta;
-  opt.shared_duration = gamma;
-  opt.producer_period = sample_period;
-  opt.consumer_period = consumer_chunk * sample_period;
-  opt.consumer_chunk = consumer_chunk;
-  // Generous starting capacities; the searches below shrink them.
-  const std::int64_t cap0 = 4 * eta + 8 * consumer_chunk + 4;
-  opt.alpha0 = cap0;
-  opt.alpha3 = cap0;
-  SdfStreamModel model = build_sdf_stream_model(opt);
-
-  df::BufferSizingOptions bopt;
-  bopt.max_capacity = cap0;
-  bopt.jobs = jobs;
-  bopt.stats = stats;
-  const df::MultiBufferResult res = df::minimize_total_capacity(
-      model.graph, {model.input_buffer, model.output_buffer}, model.consumer,
-      target, bopt);
-  out.feasible = true;
-  out.alpha0 = res.capacities[0];
-  out.alpha3 = res.capacities[1];
+  // A faster sample period than the shared actor's block rate is
+  // structurally impossible.
+  if (!delivers(eta, gamma, sample_period)) return {};
+  StreamSizer sizer(eta, gamma, sample_period, consumer_chunk, jobs);
+  const StreamBufferResult out = sizer.size(gamma);
+  if (stats) *stats += sizer.stats();
   return out;
 }
 
@@ -189,43 +282,51 @@ OptimalBlockResult optimal_blocks_for_buffers(
   const BlockSizeResult base = solve_block_sizes_fixpoint(sys);
   OptimalBlockResult best;
   if (!base.feasible) return best;
-
   const std::size_t n = sys.num_streams();
-  std::vector<std::int64_t> etas(base.eta);
-  // Stream s's buffers depend on the vector only through eta_s and
-  // gamma_hat, so each (s, eta_s, gamma_hat) is sized once.
+
+  // Stream s's buffers depend on a vector only through eta_s and gamma_hat.
+  // A vector is dropped at its first stream the shared actor cannot keep
+  // up with, so the streams after it are never sized for it.
+  std::map<std::pair<std::size_t, std::int64_t>, std::set<Time>> wanted;
+  for_each_block_vector(
+      sys, base.eta, eta_slack,
+      [&](const std::vector<std::int64_t>& etas, Time gamma) {
+        for (std::size_t s = 0; s < n; ++s) {
+          if (!delivers(etas[s], gamma, sample_periods[s])) return;
+          wanted[{s, etas[s]}].insert(gamma);
+        }
+      });
+
+  // Size each (s, eta_s) on one engine across its gamma_hat values.
   std::map<std::tuple<std::size_t, std::int64_t, Time>, StreamBufferResult>
       sized;
-  std::function<void(std::size_t)> sweep = [&](std::size_t idx) {
-    if (idx == n) {
-      if (!throughput_met(sys, etas)) return;
-      const Time gamma = gamma_hat(sys, etas);
-      std::vector<StreamBufferResult> bufs(n);
-      std::int64_t total = 0;
-      for (std::size_t s = 0; s < n; ++s) {
-        const auto [it, fresh] = sized.try_emplace({s, etas[s], gamma});
-        if (fresh)
-          it->second = min_buffers_for_stream(sys, s, etas, sample_periods[s],
-                                              chunks[s], jobs, stats);
-        bufs[s] = it->second;
-        if (!bufs[s].feasible) return;
-        total += bufs[s].total();
-      }
-      if (!best.feasible || total < best.total_buffer) {
-        best.feasible = true;
-        best.eta = etas;
-        best.buffers = std::move(bufs);
-        best.total_buffer = total;
-      }
-      return;
-    }
-    for (std::int64_t e = base.eta[idx]; e <= base.eta[idx] + eta_slack; ++e) {
-      etas[idx] = e;
-      sweep(idx + 1);
-    }
-    etas[idx] = base.eta[idx];
-  };
-  sweep(0);
+  for (const auto& [key, gammas] : wanted) {
+    const auto [s, eta] = key;
+    const std::vector<Time> order =
+        extremes_first({gammas.begin(), gammas.end()});
+    StreamSizer sizer(eta, order.front(), sample_periods[s], chunks[s], jobs);
+    for (const Time gamma : order) sized[{s, eta, gamma}] = sizer.size(gamma);
+    if (stats) *stats += sizer.stats();
+  }
+
+  // The least total in lexicographic order, the first found among ties.
+  for_each_block_vector(
+      sys, base.eta, eta_slack,
+      [&](const std::vector<std::int64_t>& etas, Time gamma) {
+        std::vector<StreamBufferResult> bufs(n);
+        std::int64_t total = 0;
+        for (std::size_t s = 0; s < n; ++s) {
+          if (!delivers(etas[s], gamma, sample_periods[s])) return;
+          bufs[s] = sized.at({s, etas[s], gamma});
+          total += bufs[s].total();
+        }
+        if (!best.feasible || total < best.total_buffer) {
+          best.feasible = true;
+          best.eta = etas;
+          best.buffers = std::move(bufs);
+          best.total_buffer = total;
+        }
+      });
   return best;
 }
 

@@ -89,7 +89,10 @@ struct OptimalBlockResult {
 /// describes as "a computationally intensive branch-and-bound algorithm";
 /// the non-monotonicity of buffer sizes in eta (paper Fig. 8) is exactly why
 /// minimal blocks need not give minimal buffers. `consumer_chunks` (empty =
-/// all 1) gives each stream's downstream claim granularity.
+/// all 1) gives each stream's downstream claim granularity. Each (stream,
+/// eta_s) is sized on one DSE engine re-timed across its gamma_hat values
+/// (docs/analysis.md §5); the answer, ties included, is that of calling
+/// min_buffers_for_stream for every stream of every vector.
 [[nodiscard]] OptimalBlockResult optimal_blocks_for_buffers(
     const SharedSystemSpec& sys, const std::vector<Time>& sample_periods,
     std::int64_t eta_slack,

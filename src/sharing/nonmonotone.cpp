@@ -44,22 +44,6 @@ std::vector<BufferSweepPoint> two_actor_buffer_sweep(
   return out;
 }
 
-std::vector<BufferSweepPoint> scaling_consumer_buffer_sweep(
-    Time producer_duration, Time base, Time per_sample, std::int64_t eta_lo,
-    std::int64_t eta_hi, int jobs, df::DseStats* stats) {
-  ACC_EXPECTS(eta_lo >= 1 && eta_hi >= eta_lo);
-  std::vector<BufferSweepPoint> out;
-  for (std::int64_t eta = eta_lo; eta <= eta_hi; ++eta) {
-    df::Graph g;
-    const df::ActorId a = g.add_sdf_actor("vA", producer_duration);
-    const df::ActorId b =
-        g.add_sdf_actor("vB", base + per_sample * eta);
-    const df::Channel ch = g.add_channel(a, b, {1}, {eta}, eta, 0, "alpha");
-    out.push_back(sweep_point(g, ch, b, eta, jobs, stats));
-  }
-  return out;
-}
-
 std::vector<BufferSweepPoint> chunked_consumer_buffer_sweep(
     Time reconfig, Time per_sample, Time sample_period, std::int64_t chunk,
     std::int64_t eta_lo, std::int64_t eta_hi, int jobs, df::DseStats* stats) {

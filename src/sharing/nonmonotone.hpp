@@ -44,13 +44,6 @@ struct BufferSweepPoint {
     Time producer_duration, Time consumer_duration, std::int64_t eta_lo,
     std::int64_t eta_hi, int jobs = 1, df::DseStats* stats = nullptr);
 
-/// Like above but with a consumer whose duration scales with the block:
-/// vB takes `base + per_sample * eta` cycles per firing — the shape of the
-/// paper's shared actor (reconfiguration + pipelined block, Eq. 2).
-[[nodiscard]] std::vector<BufferSweepPoint> scaling_consumer_buffer_sweep(
-    Time producer_duration, Time base, Time per_sample, std::int64_t eta_lo,
-    std::int64_t eta_hi, int jobs = 1, df::DseStats* stats = nullptr);
-
 /// The non-monotone case (our Fig. 8 reproduction): the shared actor
 /// (duration reconfig + per_sample*eta, paper Eq. 2) delivers blocks of eta
 /// samples into a buffer drained by a DOWN-SAMPLING consumer that consumes

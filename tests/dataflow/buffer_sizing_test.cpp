@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "dataflow/dse.hpp"
 #include "dataflow/graph.hpp"
 
 namespace acc::df {
@@ -65,8 +66,8 @@ TEST(BufferSizing, UnreachableTargetThrows) {
   BufferSizingOptions opt;
   opt.max_capacity = 64;
   // A alone caps the rate at 1/2; demanding 1 must fail at any capacity.
-  EXPECT_THROW(min_channel_capacity_for_throughput(pc.g, pc.ch, pc.a,
-                                                   Rational(1), opt),
+  EXPECT_THROW((void)min_channel_capacity_for_throughput(pc.g, pc.ch, pc.a,
+                                                         Rational(1), opt),
                invariant_error);
 }
 
@@ -139,10 +140,10 @@ TEST(BufferSizing, MinimizeTotalCapacityTwoStagePipeline) {
   const Channel ab = g.add_channel(a, b, {1}, {1}, 1);
   const Channel bc = g.add_channel(b, c, {1}, {1}, 1);
   const MultiBufferResult res =
-      minimize_total_capacity(g, {ab, bc}, a, Rational(1));
+      DseEngine(g, {ab, bc}, a).minimize_total(Rational(1));
   EXPECT_EQ(res.total, 4);  // 2 + 2: double buffering on both hops
   EXPECT_EQ(res.capacities, (std::vector<std::int64_t>{2, 2}));
-  // Graph restored.
+  // The engine searches on its own copy of the graph.
   EXPECT_EQ(g.channel_capacity(ab), 1);
   EXPECT_EQ(g.channel_capacity(bc), 1);
 }
@@ -159,7 +160,7 @@ TEST(BufferSizing, MinimizeTotalRespectsTradeoffs) {
   const Channel bc = g.add_channel(b, c, {1}, {2}, 2);
   const Rational target(1, 4);  // B's natural rate
   const MultiBufferResult res =
-      minimize_total_capacity(g, {ab, bc}, b, target);
+      DseEngine(g, {ab, bc}, b).minimize_total(target);
   // Feasibility of the reported assignment.
   g.set_channel_capacity(ab, res.capacities[0]);
   g.set_channel_capacity(bc, res.capacities[1]);

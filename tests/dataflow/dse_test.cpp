@@ -255,11 +255,86 @@ TEST(DseEngine, MinimizeMatchesBruteForceOnSmallGraphs) {
       BufferSizingOptions jopt = opt;
       jopt.jobs = jobs;
       const MultiBufferResult res =
-          minimize_total_capacity(g, {ab, bc}, b, target, jopt);
+          DseEngine(g, {ab, bc}, b, jopt).minimize_total(target);
       EXPECT_EQ(res.total, ref.total) << "trial=" << trial << " jobs=" << jobs;
       EXPECT_EQ(res.capacities, ref.capacities)
           << "trial=" << trial << " jobs=" << jobs;
     }
+  }
+}
+
+// ---------------------------------------------------------------- re-timing
+
+TEST(DseEngine, RetimeClearsTheMemoAndMovesTheFingerprint) {
+  ProducerConsumer pc = make_pc(1, 2, 1, 1, 4);
+  DseEngine engine(pc.g, {pc.ch}, pc.b);
+  EXPECT_EQ(engine.throughput({4}), Rational(1, 2));
+  engine.retime(pc.b, 4);
+  EXPECT_EQ(engine.throughput({4}), Rational(1, 4));  // simulated again
+  EXPECT_EQ(engine.stats().simulations, 2);
+  EXPECT_EQ(engine.stats().cache_hits, 0);
+  pc.g.set_actor_duration(pc.b, 4);
+  DseEngine fresh(pc.g, {pc.ch}, pc.b);
+  EXPECT_EQ(engine.graph_fingerprint(), fresh.graph_fingerprint());
+  // The duration coordinate belongs to one actor.
+  EXPECT_THROW(engine.retime(pc.a, 3), precondition_error);
+}
+
+TEST(DseEngine, RetimeKeepsFrontierPointsOfOtherDurations) {
+  // B of duration d: capacity 1 serializes A and B (rate 1/(1 + d)),
+  // capacity 2 lets them overlap (rate 1/d).
+  ProducerConsumer pc = make_pc(1, 2, 1, 1, 2);
+  DseEngine engine(pc.g, {pc.ch}, pc.b);
+  const Rational target(1, 2);
+  EXPECT_FALSE(engine.feasible({1}, target));  // 1/3, simulated
+  EXPECT_TRUE(engine.feasible({2}, target));   // 1/2, simulated
+  engine.retime(pc.b, 3);
+  // Infeasible at d = 2 stays infeasible at d = 3: pruned.
+  EXPECT_FALSE(engine.feasible({1}, target));
+  EXPECT_EQ(engine.stats().pruned_infeasible, 1);
+  EXPECT_FALSE(engine.feasible({2}, target));  // 1/3, simulated
+  engine.retime(pc.b, 1);
+  // Feasible at d = 2 stays feasible at d = 1: pruned.
+  EXPECT_TRUE(engine.feasible({3}, target));
+  EXPECT_EQ(engine.stats().pruned_feasible, 1);
+  EXPECT_EQ(engine.stats().simulations, 3);
+}
+
+// One engine re-timed across durations answers each minimize_total as a
+// fresh engine at that duration does, on the Fig. 7 model with a chunked
+// consumer, with fewer simulations in total.
+TEST(DseEngine, RetimedMinimizeMatchesFreshEngines) {
+  sharing::SdfModelOptions opt;
+  opt.eta = 6;
+  opt.producer_period = 3;
+  opt.consumer_period = 12;
+  opt.consumer_chunk = 4;
+  opt.alpha0 = 40;
+  opt.alpha3 = 40;
+  opt.shared_duration = 10;
+  sharing::SdfStreamModel model = sharing::build_sdf_stream_model(opt);
+  const Rational target(1, 12);
+  BufferSizingOptions bopt;
+  bopt.max_capacity = 40;
+  for (const int jobs : {1, 3}) {
+    bopt.jobs = jobs;
+    DseEngine engine(model.graph, {model.input_buffer, model.output_buffer},
+                     model.consumer, bopt);
+    DseStats fresh_stats;
+    // The shared actor keeps up with one sample per 3 cycles up to d = 18.
+    for (const Time d : {10, 18, 14, 12, 16, 11, 13, 15, 17}) {
+      engine.retime(model.shared, d);
+      model.graph.set_actor_duration(model.shared, d);
+      DseEngine fresh(model.graph, {model.input_buffer, model.output_buffer},
+                      model.consumer, bopt);
+      const MultiBufferResult got = engine.minimize_total(target);
+      const MultiBufferResult want = fresh.minimize_total(target);
+      EXPECT_EQ(got.capacities, want.capacities) << "d=" << d;
+      EXPECT_EQ(got.total, want.total) << "d=" << d;
+      fresh_stats += fresh.stats();
+    }
+    EXPECT_LT(engine.stats().simulations, fresh_stats.simulations);
+    EXPECT_GT(engine.stats().pruned(), fresh_stats.pruned());
   }
 }
 
@@ -301,8 +376,8 @@ TEST(DseDeterminism, MinimizeTotalIdenticalAcrossThreadCountsOnPalGraphs) {
 }
 
 TEST(DseDeterminism, MinimizeTotalIdenticalAcrossThreadCountsOnSdfModel) {
-  // Drive minimize_total_capacity directly on the two-buffer SDF stream
-  // model with a chunked consumer (the non-monotone Fig. 8 shape).
+  // Drive minimize_total directly on the two-buffer SDF stream model with
+  // a chunked consumer (the non-monotone Fig. 8 shape).
   sharing::SdfModelOptions opt;
   opt.eta = 6;
   opt.shared_duration = 17;
@@ -316,15 +391,15 @@ TEST(DseDeterminism, MinimizeTotalIdenticalAcrossThreadCountsOnSdfModel) {
   BufferSizingOptions bopt;
   bopt.max_capacity = 40;
 
-  bopt.jobs = 1;
-  const MultiBufferResult r1 = minimize_total_capacity(
-      model.graph, {model.input_buffer, model.output_buffer}, model.consumer,
-      target, bopt);
-  for (const int jobs : {2, 4, 8}) {
+  const auto minimize = [&](int jobs) {
     bopt.jobs = jobs;
-    const MultiBufferResult rn = minimize_total_capacity(
-        model.graph, {model.input_buffer, model.output_buffer}, model.consumer,
-        target, bopt);
+    return DseEngine(model.graph, {model.input_buffer, model.output_buffer},
+                     model.consumer, bopt)
+        .minimize_total(target);
+  };
+  const MultiBufferResult r1 = minimize(1);
+  for (const int jobs : {2, 4, 8}) {
+    const MultiBufferResult rn = minimize(jobs);
     EXPECT_EQ(rn.total, r1.total) << "jobs=" << jobs;
     EXPECT_EQ(rn.capacities, r1.capacities) << "jobs=" << jobs;
   }

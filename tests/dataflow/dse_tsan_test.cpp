@@ -56,20 +56,19 @@ void check_minimize(std::int64_t eta, std::int64_t chunk) {
           ref_model.g, {ref_model.in, ref_model.out}, ref_model.consumer, opt);
 
   opt.jobs = 1;
-  const MultiBufferResult serial = minimize_total_capacity(
-      ref_model.g, {ref_model.in, ref_model.out}, ref_model.consumer, target,
-      opt);
+  const MultiBufferResult serial =
+      DseEngine(ref_model.g, {ref_model.in, ref_model.out}, ref_model.consumer,
+                opt)
+          .minimize_total(target);
   for (int jobs : {2, 4}) {
     Model m = make_model(eta, chunk);
     BufferSizingOptions jopt = opt;
     jopt.jobs = jobs;
-    DseStats stats;
-    jopt.stats = &stats;
-    const MultiBufferResult par = minimize_total_capacity(
-        m.g, {m.in, m.out}, m.consumer, target, jopt);
+    DseEngine engine(m.g, {m.in, m.out}, m.consumer, jopt);
+    const MultiBufferResult par = engine.minimize_total(target);
     REQUIRE(par.total == serial.total);
     REQUIRE(par.capacities == serial.capacities);
-    REQUIRE(stats.simulations > 0);
+    REQUIRE(engine.stats().simulations > 0);
   }
 }
 
@@ -89,12 +88,45 @@ void check_pareto(std::int64_t eta) {
   }
 }
 
+/// One parallel engine re-timed across the shared actor's durations
+/// answers each minimize_total as the serial search at that duration does.
+void check_retime(std::int64_t eta, std::int64_t chunk) {
+  Model m = make_model(eta, chunk);
+  const Time longest = 11 + 2 * eta;
+  BufferSizingOptions opt;
+  opt.max_capacity = 8 * eta + 8 * chunk + 32;
+  // Reachable at the longest duration, hence at every shorter one.
+  const Rational target = max_throughput_with_unbounded_channels(
+      m.g, {m.in, m.out}, m.consumer, opt);
+  const std::vector<Time> durations{longest - 8, longest, longest - 4,
+                                    longest - 6, longest - 2};
+  std::vector<MultiBufferResult> serial;
+  for (const Time d : durations) {
+    m.g.set_actor_duration(m.shared, d);
+    serial.push_back(
+        DseEngine(m.g, {m.in, m.out}, m.consumer, opt).minimize_total(target));
+  }
+  for (int jobs : {2, 4}) {
+    BufferSizingOptions jopt = opt;
+    jopt.jobs = jobs;
+    DseEngine engine(m.g, {m.in, m.out}, m.consumer, jopt);
+    for (std::size_t i = 0; i < durations.size(); ++i) {
+      engine.retime(m.shared, durations[i]);
+      const MultiBufferResult par = engine.minimize_total(target);
+      REQUIRE(par.total == serial[i].total);
+      REQUIRE(par.capacities == serial[i].capacities);
+    }
+    REQUIRE(engine.stats().pruned() > 0);
+  }
+}
+
 }  // namespace
 
 int main() {
   for (std::int64_t eta : {1, 3, 5}) check_minimize(eta, /*chunk=*/2);
   check_minimize(/*eta=*/4, /*chunk=*/3);
   check_pareto(/*eta=*/3);
+  check_retime(/*eta=*/4, /*chunk=*/3);
   if (failures == 0) std::puts("dse_tsan_test: all checks passed");
   return failures == 0 ? 0 : 1;
 }

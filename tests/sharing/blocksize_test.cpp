@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "dataflow/buffer_sizing.hpp"
@@ -198,13 +203,19 @@ TEST(OptimalBlocks, NeverWorseThanMinimalBlocks) {
   EXPECT_GE(best.eta[0], fp.eta[0]);  // never below the Algorithm-1 minimum
 }
 
-/// The §V-F sweep without reuse: sizes every stream of every block-size
-/// vector, in the same lexicographic order, keeping the first minimum.
-/// `ties` (optional) counts later vectors that equal the best total so far.
+/// Each (stream, eta_s, gamma_hat) sized once, with its own
+/// min_buffers_for_stream call.
+using TripleSizings =
+    std::map<std::tuple<std::size_t, std::int64_t, Time>, StreamBufferResult>;
+
+/// The §V-F sweep by one-shot sizing: sizes every stream of every
+/// block-size vector (or, with `once`, each (s, eta_s, gamma_hat) once), in
+/// the same lexicographic order, keeping the first minimum. `ties`
+/// (optional) counts later vectors that equal the best total so far.
 OptimalBlockResult exhaustive_optimal_blocks(
     const SharedSystemSpec& sys, const std::vector<Time>& periods,
     std::int64_t slack, const std::vector<std::int64_t>& chunks,
-    df::DseStats* stats, int* ties = nullptr) {
+    df::DseStats* stats, int* ties = nullptr, TripleSizings* once = nullptr) {
   const BlockSizeResult base = solve_block_sizes_fixpoint(sys);
   OptimalBlockResult best;
   const std::size_t n = sys.num_streams();
@@ -215,8 +226,18 @@ OptimalBlockResult exhaustive_optimal_blocks(
       std::vector<StreamBufferResult> bufs(n);
       std::int64_t total = 0;
       for (std::size_t s = 0; s < n; ++s) {
-        bufs[s] = min_buffers_for_stream(sys, s, etas, periods[s], chunks[s],
-                                         1, stats);
+        const auto size = [&] {
+          return min_buffers_for_stream(sys, s, etas, periods[s], chunks[s],
+                                        1, stats);
+        };
+        if (once) {
+          const auto [it, fresh] =
+              once->try_emplace({s, etas[s], gamma_hat(sys, etas)});
+          if (fresh) it->second = size();
+          bufs[s] = it->second;
+        } else {
+          bufs[s] = size();
+        }
         if (!bufs[s].feasible) return;
         total += bufs[s].total();
       }
@@ -285,14 +306,16 @@ void expect_same_result(const OptimalBlockResult& got,
   }
 }
 
-// Property: reusing each stream's sizing across block-size vectors changes
-// no answer, ties included, on random 2-4-stream queries.
+// Property: reusing each stream's sizing and DSE frontier across block-size
+// vectors changes no answer, ties included, on random 1-4-stream queries
+// (six of each stream count).
 TEST(OptimalBlocksProperty, ReuseMatchesExhaustiveSweep) {
+  constexpr std::size_t kStreams[] = {2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 4,
+                                      1, 2, 1, 3, 1, 4, 1, 2, 1, 3, 1, 4};
   SplitMix64 rng(0x5EF1);
   int ties = 0;
-  for (int trial = 0; trial < 12; ++trial) {
-    const SweepQuery q =
-        random_sweep_query(rng, 2 + static_cast<std::size_t>(trial % 3));
+  for (int trial = 0; trial < std::ssize(kStreams); ++trial) {
+    const SweepQuery q = random_sweep_query(rng, kStreams[trial]);
     SCOPED_TRACE("trial " + std::to_string(trial));
     expect_same_result(
         optimal_blocks_for_buffers(q.sys, q.periods, q.slack, q.chunks),
@@ -313,6 +336,45 @@ TEST(OptimalBlocks, ReuseRunsFewerSimulations) {
       exhaustive_optimal_blocks(q.sys, q.periods, q.slack, q.chunks, &exhaustive);
   expect_same_result(got, want);
   EXPECT_LT(reused.simulations, exhaustive.simulations);
+}
+
+// The shared gamma_hat frontier is filled by parallel waves with jobs > 1,
+// in completion order; the answers must not depend on it.
+TEST(OptimalBlocks, SameAnswerForEveryJobCount) {
+  SplitMix64 rng(0x5EF7);
+  for (int trial = 0; trial < 4; ++trial) {
+    const SweepQuery q =
+        random_sweep_query(rng, 2 + static_cast<std::size_t>(trial % 3));
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const OptimalBlockResult serial =
+        optimal_blocks_for_buffers(q.sys, q.periods, q.slack, q.chunks, 1);
+    expect_same_result(
+        optimal_blocks_for_buffers(q.sys, q.periods, q.slack, q.chunks, 3),
+        serial);
+  }
+}
+
+// Sizing each (s, eta_s, gamma_hat) on its own engine repeats the searches
+// a shared gamma_hat frontier answers: one engine per (s, eta_s) reaches the
+// same answer with fewer simulations.
+TEST(OptimalBlocks, GammaFrontierRunsFewerSimulations) {
+  SplitMix64 rng(0x5EF5);
+  const SweepQuery q = random_sweep_query(rng, 3);
+  df::DseStats shared;
+  df::DseStats one_shot;
+  TripleSizings once;
+  const OptimalBlockResult got = optimal_blocks_for_buffers(
+      q.sys, q.periods, q.slack, q.chunks, 1, &shared);
+  const OptimalBlockResult want = exhaustive_optimal_blocks(
+      q.sys, q.periods, q.slack, q.chunks, &one_shot, nullptr, &once);
+  expect_same_result(got, want);
+  // Several gamma_hat values for some (s, eta_s), or nothing is shared.
+  std::set<std::pair<std::size_t, std::int64_t>> groups;
+  for (const auto& [key, sized] : once)
+    groups.emplace(std::get<0>(key), std::get<1>(key));
+  EXPECT_LT(groups.size(), once.size());
+  EXPECT_LT(shared.simulations, one_shot.simulations);
+  EXPECT_GT(shared.pruned(), one_shot.pruned());
 }
 
 }  // namespace

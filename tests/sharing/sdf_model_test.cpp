@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.hpp"
 #include "dataflow/executor.hpp"
 #include "dataflow/refinement.hpp"
@@ -115,6 +118,71 @@ TEST(SdfModel, CsdfRefinesSdfAbstraction) {
     EXPECT_TRUE(rep.holds) << df::describe(rep) << " (eta=" << eta
                            << ", period=" << period << ")";
   }
+}
+
+// Property: the Fig. 7 model's throughput never rises as the shared actor's
+// duration grows (self-timed execution is monotone in every firing
+// duration), so every capacity vector that sustains the sample rate at
+// gamma_2 sustains it at each gamma_1 < gamma_2. The DSE engine's duration
+// coordinate (dataflow/dse.hpp) rests on this. Each model runs on one
+// executor re-timed in place, as the engine's do; in the last model the
+// input buffer fills at a steady drift, so the drift replay jumps there.
+TEST(SdfModelProperty, SustainedAtLongerSharedDurationIsSustainedAtShorter) {
+  SplitMix64 rng(0x6A77A);
+  constexpr std::int64_t kChunks[] = {1, 2, 4, 8};
+  constexpr int kRandomModels = 40;
+  int sustained = 0;        // vectors sustaining the rate at gamma_2
+  int only_shorter = 0;     // vectors sustaining it at gamma_1 only
+  std::int64_t jumped = 0;  // drift-replayed iterations of the last model
+  for (int trial = 0; trial <= kRandomModels; ++trial) {
+    const bool large = trial == kRandomModels;
+    SdfModelOptions o;
+    o.eta = large ? 4 : rng.uniform(1, 8);
+    o.consumer_chunk = large ? 8 : kChunks[rng.uniform(0, 3)];
+    const Time period = large ? 4 : rng.uniform(4, 32);
+    o.producer_period = period;
+    o.consumer_period = o.consumer_chunk * period;
+    // Durations around eta * period, where the shared actor stops keeping
+    // up with the producer.
+    const Time g2 = large ? 20 : rng.uniform(2, 3 * o.eta * period / 2);
+    const Time g1 = large ? 12 : rng.uniform(1, g2 - 1);
+    const std::int64_t lo0 = large ? 200 : o.eta;
+    const std::int64_t lo3 = std::max(o.eta, o.consumer_chunk);
+    o.alpha0 = lo0;
+    o.alpha3 = lo3;
+    o.shared_duration = g1;
+    SdfStreamModel m = build_sdf_stream_model(o);
+    df::SelfTimedExecutor exec(m.graph);
+    const auto rate = [&](Time gamma) {
+      m.graph.set_actor_duration(m.shared, gamma);
+      const df::ThroughputResult r = exec.analyze_throughput(m.consumer);
+      if (large) jumped += r.replayed_iterations;
+      return r.deadlocked ? Rational(0) : r.throughput;
+    };
+    const Rational target(1, o.consumer_period);
+    for (std::int64_t a0 = lo0; a0 <= lo0 + 4; ++a0) {
+      for (std::int64_t a3 = lo3; a3 <= lo3 + 4; ++a3) {
+        m.graph.set_channel_capacity(m.input_buffer, a0);
+        m.graph.set_channel_capacity(m.output_buffer, a3);
+        const Rational at1 = rate(g1);
+        const Rational at2 = rate(g2);
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": alpha0 " +
+                     std::to_string(a0) + ", alpha3 " + std::to_string(a3) +
+                     ", gamma " + std::to_string(g1) + " < " +
+                     std::to_string(g2));
+        EXPECT_GE(at1, at2);
+        if (at2 >= target) {
+          ++sustained;
+          EXPECT_GE(at1, target);
+        } else if (at1 >= target) {
+          ++only_shorter;
+        }
+      }
+    }
+  }
+  EXPECT_GT(sustained, 100);
+  EXPECT_GT(only_shorter, 50);
+  EXPECT_GT(jumped, 0);
 }
 
 }  // namespace
