@@ -11,7 +11,6 @@
 #include "dataflow/executor.hpp"
 #include "sharing/analysis.hpp"
 #include "sharing/csdf_model.hpp"
-#include "sharing/maxplus_schedule.hpp"
 
 int main() {
   using namespace acc;
@@ -59,10 +58,6 @@ int main() {
   const auto done = exec.run_until_firings(m.exit, eta);
   std::cout << "CSDF model (Fig. 5) executed  = " << (done ? *done : -1)
             << " cycles\n";
-  const MaxPlusChain mp = build_maxplus_chain(sys, 0);
-  std::cout << "max-plus model                = " << mp.completion(eta)
-            << " cycles (eigenvalue = " << mp.eigenvalue()->str()
-            << " cycles/sample = Eq. 2's c0)\n";
   std::cout << "Eq. 2 bound tau_hat           = " << tau_hat(sys, 0, eta)
             << " cycles\n";
 

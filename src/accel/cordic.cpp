@@ -42,12 +42,6 @@ const Tables& tables() {
 Q16 q16_pi() { return Q16::from_double(M_PI); }
 Q16 q16_half_pi() { return Q16::from_double(M_PI / 2); }
 
-Q16 q16_wrap_angle(double radians) {
-  double a = std::remainder(radians, 2.0 * M_PI);
-  if (a <= -M_PI) a += 2.0 * M_PI;
-  return Q16::from_double(a);
-}
-
 RotateResult cordic_rotate(Q16 x, Q16 y, Q16 angle, int iterations) {
   ACC_EXPECTS(iterations >= 1 && iterations <= kMaxIterations);
   std::int64_t cx = x.raw();

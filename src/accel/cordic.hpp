@@ -61,7 +61,4 @@ void cordic_vector_block(std::span<const Q16> x, std::span<const Q16> y,
                          Q16* out_mag, Q16* out_angle,
                          int iterations = kCordicIterations);
 
-/// Wrap an angle (radians, as a plain double) into (-pi, pi] and quantize.
-[[nodiscard]] Q16 q16_wrap_angle(double radians);
-
 }  // namespace acc::accel

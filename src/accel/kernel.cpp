@@ -31,11 +31,4 @@ std::int64_t StreamKernel::control_word() const {
   return static_cast<std::int64_t>(h);
 }
 
-std::vector<CQ16> run_block(StreamKernel& k, std::span<const CQ16> in) {
-  std::vector<CQ16> out;
-  out.reserve(in.size());
-  for (const CQ16& s : in) k.push(s, out);
-  return out;
-}
-
 }  // namespace acc::accel

@@ -77,7 +77,4 @@ class StreamKernel {
   [[nodiscard]] virtual std::unique_ptr<StreamKernel> clone_fresh() const = 0;
 };
 
-/// Convenience: run a whole block through a kernel.
-std::vector<CQ16> run_block(StreamKernel& k, std::span<const CQ16> in);
-
 }  // namespace acc::accel

@@ -507,7 +507,7 @@ json::Value admission_bench_doc(const ChurnConfig& cfg,
     tv["period"] = t.period;
     tv["decimation"] = t.decimation;
     tv["reconfig"] = t.reconfig;
-    templates.push_back(std::move(tv));
+    templates.emplace_back(std::move(tv));
   }
   doc["templates"] = std::move(templates);
 
@@ -526,7 +526,7 @@ json::Value admission_bench_doc(const ChurnConfig& cfg,
     dv["gamma"] = d.gamma;
     dv["analysis_work"] = d.analysis_work;
     dv["reconfig_cycles"] = d.reconfig_cycles;
-    decisions.push_back(std::move(dv));
+    decisions.emplace_back(std::move(dv));
   }
   doc["decisions"] = std::move(decisions);
 
@@ -538,7 +538,7 @@ json::Value admission_bench_doc(const ChurnConfig& cfg,
     rv["digest"] = std::to_string(r.digest);  // uint64: keep as string
     rv["audio_checksum"] = std::to_string(r.audio_checksum);
     rv["deadline_misses"] = r.deadline_misses;
-    steppers.push_back(std::move(rv));
+    steppers.emplace_back(std::move(rv));
   }
   doc["steppers"] = std::move(steppers);
 

@@ -29,23 +29,6 @@ std::int64_t channel_capacity_lower_bound(const Graph& g, const Channel& ch) {
   return lb;
 }
 
-Rational measure_throughput(const Graph& g, ActorId reference,
-                            const BufferSizingOptions& opt) {
-  SelfTimedExecutor exec(g);
-  const ThroughputResult r = exec.analyze_throughput(reference, opt.max_iterations);
-  if (r.deadlocked) return Rational(0);
-  return r.throughput;
-}
-
-Rational max_throughput_with_unbounded_channels(
-    Graph& g, const std::vector<Channel>& channels, ActorId reference,
-    const BufferSizingOptions& opt) {
-  DseEngine engine(g, channels, reference, opt);
-  const Rational best = engine.max_throughput_unbounded();
-  flush_stats(opt, engine);
-  return best;
-}
-
 std::int64_t min_channel_capacity_for_throughput(
     Graph& g, const Channel& ch, ActorId reference, const Rational& target,
     const BufferSizingOptions& opt) {

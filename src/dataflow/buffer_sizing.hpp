@@ -85,18 +85,6 @@ struct BufferSizingOptions {
 [[nodiscard]] std::int64_t channel_capacity_lower_bound(const Graph& g,
                                                         const Channel& ch);
 
-/// Exact throughput (reference-actor firings per time) of `g` as configured.
-[[nodiscard]] Rational measure_throughput(const Graph& g, ActorId reference,
-                                          const BufferSizingOptions& opt = {});
-
-/// Maximum achievable throughput with all the given channels opened up to
-/// max_capacity (other buffers untouched): doubling capacities from their
-/// structural minimum until the throughput saturates, with max_capacity
-/// probed last. Restores capacities on return.
-[[nodiscard]] Rational max_throughput_with_unbounded_channels(
-    Graph& g, const std::vector<Channel>& channels, ActorId reference,
-    const BufferSizingOptions& opt = {});
-
 /// Exact minimum capacity of a single channel such that throughput of
 /// `reference` is >= target, all other buffers untouched. Restores the
 /// original capacity on return. Throws invariant_error if no capacity up to

@@ -20,34 +20,6 @@ Rational throughput_of(const ThroughputResult& r) {
   return r.deadlocked ? Rational(0) : r.throughput;
 }
 
-/// Structural fingerprint: everything that determines throughput except the
-/// managed capacities (those are the memo key). Managed space edges
-/// contribute their rates but not their token count.
-std::uint64_t fingerprint_of(const Graph& g,
-                             const std::vector<Channel>& channels,
-                             ActorId reference) {
-  std::vector<bool> managed_space(g.num_edges(), false);
-  for (const Channel& ch : channels)
-    managed_space[static_cast<std::size_t>(ch.space)] = true;
-  std::uint64_t h = fnv_mix(kFnvOffset, g.num_actors());
-  for (const Actor& a : g.actors()) {
-    h = fnv_mix(h, a.phases());
-    for (Time d : a.phase_durations) h = fnv_mix(h, static_cast<std::uint64_t>(d));
-    h = fnv_mix(h, a.auto_concurrent ? 1 : 0);
-  }
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    const Edge& ed = g.edge(static_cast<EdgeId>(e));
-    h = fnv_mix(h, static_cast<std::uint64_t>(ed.src));
-    h = fnv_mix(h, static_cast<std::uint64_t>(ed.dst));
-    for (std::int64_t q : ed.prod) h = fnv_mix(h, static_cast<std::uint64_t>(q));
-    for (std::int64_t q : ed.cons) h = fnv_mix(h, static_cast<std::uint64_t>(q));
-    h = fnv_mix(h, managed_space[e]
-                       ? 0x5eed
-                       : static_cast<std::uint64_t>(ed.initial_tokens));
-  }
-  return fnv_mix(h, static_cast<std::uint64_t>(reference));
-}
-
 }  // namespace
 
 std::size_t DseEngine::CapVecHash::operator()(const CapVec& v) const {
@@ -77,7 +49,6 @@ DseEngine::DseEngine(const Graph& g, std::vector<Channel> channels,
   worker_execs_.reserve(pool_.size());
   for (const Graph& clone : worker_graphs_)
     worker_execs_.emplace_back(clone, assume_validated);
-  fingerprint_ = fingerprint_of(g, channels_, reference_);
 }
 
 std::vector<std::int64_t> DseEngine::snapshot_capacities() const {
@@ -441,7 +412,6 @@ void DseEngine::retime(ActorId actor, Time duration) {
   for (Graph& g : worker_graphs_) g.set_actor_duration(actor, duration);
   duration_ = duration;
   memo_.clear();
-  fingerprint_ = fingerprint_of(worker_graphs_[0], channels_, reference_);
 }
 
 DseStats DseEngine::stats() const {

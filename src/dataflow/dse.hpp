@@ -9,9 +9,9 @@
 //  - a fixed-size thread pool evaluates independent capacity vectors
 //    concurrently, each worker owning a private Graph clone so capacity
 //    mutation never races;
-//  - a memo cache keyed by the capacity vector (guarded by a structural
-//    graph fingerprint) makes repeated probes free — the staircase search,
-//    the per-channel binary searches and the saturation probes overlap a lot;
+//  - a memo cache keyed by the capacity vector makes repeated probes free —
+//    the staircase search, the per-channel binary searches and the
+//    saturation probes overlap a lot;
 //  - monotone feasibility pruning: throughput is monotone non-decreasing in
 //    every capacity, so `throughput >= target` is a monotone predicate — an
 //    infeasible vector kills every component-wise-smaller candidate and a
@@ -70,10 +70,6 @@ class DseEngine {
   [[nodiscard]] std::size_t jobs() const { return pool_.size(); }
   /// Capacities of the managed channels in the snapshot.
   [[nodiscard]] std::vector<std::int64_t> snapshot_capacities() const;
-  /// FNV-1a hash of the graph structure (rates, durations, initial tokens)
-  /// excluding the managed channels' capacities — the invariant part of the
-  /// memo key. Two engines over structurally identical graphs agree.
-  [[nodiscard]] std::uint64_t graph_fingerprint() const { return fingerprint_; }
 
   /// Exact throughput of the reference actor with the managed channels at
   /// `caps` (memoized; thread-safe; deadlock reports as 0).
@@ -166,7 +162,6 @@ class DseEngine {
   std::vector<Channel> channels_;
   ActorId reference_;
   BufferSizingOptions opt_;
-  std::uint64_t fingerprint_ = 0;
   ThreadPool pool_;
   /// One private clone per worker (index = worker id); clone 0 doubles as
   /// the driver-thread graph for serial phases.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 
 namespace acc::df {
 
@@ -173,38 +172,6 @@ std::optional<Time> SelfTimedExecutor::run_until_firings(ActorId actor,
   return now_;
 }
 
-bool SelfTimedExecutor::run_for(Time horizon) {
-  start_enabled();
-  while (!pending_.empty() && pending_.top().when <= horizon) {
-    if (!step()) break;
-  }
-  return !pending_.empty() || now_ >= horizon;
-}
-
-std::vector<Time> SelfTimedExecutor::completion_times(ActorId actor,
-                                                      std::int64_t count) {
-  std::vector<Time> times;
-  times.reserve(static_cast<std::size_t>(count));
-  ExecObservers saved = observers_;
-  ExecObservers obs = saved;
-  // Wrap (not replace) any user observer so both see the events.
-  obs.on_firing = [&, saved](ActorId a, std::int32_t ph, Time s, Time e) {
-    if (saved.on_firing) saved.on_firing(a, ph, s, e);
-    if (a == actor && static_cast<std::int64_t>(times.size()) <
-                          count)  // record completion time
-      times.push_back(e);
-  };
-  set_observers(obs);
-  run_until_firings(actor, count);
-  set_observers(saved);
-  // Completion order equals start order for serialized actors; sort anyway
-  // so auto-concurrent reference actors report monotone times.
-  std::sort(times.begin(), times.end());
-  times.resize(std::min<std::size_t>(times.size(),
-                                     static_cast<std::size_t>(count)));
-  return times;
-}
-
 const SelfTimedExecutor::Boundary& SelfTimedExecutor::record_boundary(
     std::int64_t iter, std::int64_t overshoot) {
   Boundary& b = ring_[ring_head_];
@@ -287,48 +254,6 @@ void SelfTimedExecutor::close_window(std::int64_t k) {
   for (std::size_t e = 0; e < max_tokens_.size(); ++e)
     max_tokens_[e] = std::max(
         max_before_[e], max_tokens_[e] + (drift_[e] > 0 ? k * drift_[e] : 0));
-}
-
-DeadlockReport diagnose_deadlock(const Graph& g, Time horizon) {
-  SelfTimedExecutor exec(g);
-  DeadlockReport out;
-  if (exec.run_for(horizon)) {
-    return out;  // events still pending (or horizon reached): live
-  }
-  // Quiesced: nothing in flight, nothing enabled. Explain each actor.
-  out.deadlocked = true;
-  out.at = exec.now();
-  for (ActorId a = 0; a < static_cast<ActorId>(g.num_actors()); ++a) {
-    const Actor& actor = g.actor(a);
-    // Reconstruct the next phase from completed firings (serialized actors;
-    // auto-concurrent ones report their next phase the same way).
-    const auto phase = static_cast<std::int32_t>(
-        exec.completed_firings(a) % static_cast<std::int64_t>(actor.phases()));
-    for (EdgeId eid : g.in_edges(a)) {
-      const Edge& e = g.edge(eid);
-      if (exec.tokens(eid) < e.cons[phase]) {
-        out.starved.push_back(DeadlockReport::Starved{
-            a, eid, exec.tokens(eid), e.cons[phase]});
-        break;  // one blocking edge per actor is enough for diagnosis
-      }
-    }
-  }
-  return out;
-}
-
-std::string describe(const DeadlockReport& r, const Graph& g) {
-  std::ostringstream os;
-  if (!r.deadlocked) {
-    os << "graph is live (no quiescence before the horizon)";
-    return os.str();
-  }
-  os << "deadlock at t=" << r.at << ":";
-  for (const DeadlockReport::Starved& s : r.starved) {
-    os << "\n  " << g.actor(s.actor).name << " starved on edge '"
-       << g.edge(s.blocking_edge).name << "' (" << s.tokens_present << "/"
-       << s.tokens_needed << " tokens)";
-  }
-  return os.str();
 }
 
 ThroughputResult SelfTimedExecutor::analyze_throughput(

@@ -47,31 +47,6 @@ struct ExecObservers {
   std::function<void(EdgeId edge, std::int64_t count, Time when)> on_produce;
 };
 
-/// Post-mortem of a deadlocked execution: which actors starved and what
-/// each one was waiting for.
-struct DeadlockReport {
-  bool deadlocked = false;
-  /// Time at which nothing could fire any more.
-  Time at = 0;
-  /// For every actor that can never fire again: (actor, blocking edge with
-  /// too few tokens for its next phase).
-  struct Starved {
-    ActorId actor = kInvalidActor;
-    EdgeId blocking_edge = -1;
-    std::int64_t tokens_present = 0;
-    std::int64_t tokens_needed = 0;
-  };
-  std::vector<Starved> starved;
-};
-
-/// Run the graph to quiescence and report why it stopped. A live graph
-/// (runs past `horizon` without quiescing) reports deadlocked = false.
-[[nodiscard]] DeadlockReport diagnose_deadlock(const Graph& g,
-                                               Time horizon = 1 << 20);
-
-/// Human-readable rendering of a deadlock report.
-[[nodiscard]] std::string describe(const DeadlockReport& r, const Graph& g);
-
 /// Result of steady-state (throughput) analysis.
 struct ThroughputResult {
   /// True if execution reached a state where nothing can ever fire again.
@@ -123,10 +98,6 @@ class SelfTimedExecutor {
   /// graph deadlocks first.
   std::optional<Time> run_until_firings(ActorId actor, std::int64_t count);
 
-  /// Run until the clock passes `horizon` (events at exactly `horizon` are
-  /// processed). Returns false if the graph deadlocked before the horizon.
-  bool run_for(Time horizon);
-
   /// Detect the periodic steady state by state recurrence at iteration
   /// boundaries of `reference` and return the exact throughput. Requires a
   /// consistent graph. `max_iterations` bounds the search. Resets first, so
@@ -137,11 +108,6 @@ class SelfTimedExecutor {
   /// without jumps, which builds without NDEBUG re-run to check.
   ThroughputResult analyze_throughput(ActorId reference,
                                       std::int64_t max_iterations = 100000);
-
-  /// Completion times of the first `count` firings of `actor` (runs the
-  /// graph; call on a freshly reset executor for absolute times). Empty
-  /// result slots are absent if the graph deadlocks early.
-  std::vector<Time> completion_times(ActorId actor, std::int64_t count);
 
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] std::int64_t tokens(EdgeId e) const { return tokens_[e]; }

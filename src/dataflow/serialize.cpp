@@ -4,13 +4,6 @@ namespace acc::df {
 
 namespace {
 
-json::Array int_list(const std::vector<std::int64_t>& v) {
-  json::Array a;
-  a.reserve(v.size());
-  for (std::int64_t x : v) a.emplace_back(x);
-  return a;
-}
-
 std::vector<std::int64_t> int_vector(const json::Value& v) {
   std::vector<std::int64_t> out;
   for (const json::Value& x : v.as_array()) out.push_back(x.as_int());
@@ -18,32 +11,6 @@ std::vector<std::int64_t> int_vector(const json::Value& v) {
 }
 
 }  // namespace
-
-json::Value graph_to_json(const Graph& g) {
-  json::Array actors;
-  for (const Actor& a : g.actors()) {
-    json::Object o;
-    o["name"] = a.name;
-    o["durations"] = int_list(a.phase_durations);
-    o["auto_concurrent"] = a.auto_concurrent;
-    actors.emplace_back(std::move(o));
-  }
-  json::Array edges;
-  for (const Edge& e : g.edges()) {
-    json::Object o;
-    o["src"] = static_cast<std::int64_t>(e.src);
-    o["dst"] = static_cast<std::int64_t>(e.dst);
-    o["prod"] = int_list(e.prod);
-    o["cons"] = int_list(e.cons);
-    o["tokens"] = e.initial_tokens;
-    o["name"] = e.name;
-    edges.emplace_back(std::move(o));
-  }
-  json::Object root;
-  root["actors"] = std::move(actors);
-  root["edges"] = std::move(edges);
-  return root;
-}
 
 Graph graph_from_json(const json::Value& v) {
   Graph g;
@@ -68,14 +35,6 @@ Graph graph_from_json(const json::Value& v) {
   }
   g.validate();
   return g;
-}
-
-std::string graph_to_string(const Graph& g) {
-  return graph_to_json(g).pretty();
-}
-
-Graph graph_from_string(const std::string& text) {
-  return graph_from_json(json::parse_or_throw(text));
 }
 
 }  // namespace acc::df

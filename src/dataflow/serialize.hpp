@@ -1,5 +1,5 @@
-// JSON (de)serialization of (C)SDF graphs — interchange with external
-// tooling and persistent experiment definitions.
+// JSON reading of (C)SDF graphs: the models a lint configuration declares
+// in its "graphs" section.
 //
 // Format (all numbers integers):
 // {
@@ -9,21 +9,12 @@
 // }
 #pragma once
 
-#include <string>
-
 #include "common/json.hpp"
 #include "dataflow/graph.hpp"
 
 namespace acc::df {
 
-/// Serialize a graph (channels become their two constituent edges).
-[[nodiscard]] json::Value graph_to_json(const Graph& g);
-
 /// Rebuild a graph; throws acc::precondition_error on malformed input.
 [[nodiscard]] Graph graph_from_json(const json::Value& v);
-
-/// Convenience text round-trip.
-[[nodiscard]] std::string graph_to_string(const Graph& g);
-[[nodiscard]] Graph graph_from_string(const std::string& text);
 
 }  // namespace acc::df

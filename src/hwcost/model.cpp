@@ -97,33 +97,43 @@ StructuralEstimate estimate_ring_ni() {
   return e;
 }
 
-StructuralEstimate estimate_dual_ring(int nodes, int width) {
-  ACC_EXPECTS(nodes >= 2 && width >= 8);
+namespace {
+
+/// Link width (bits) of both interconnects.
+constexpr std::int64_t kWidth = 64;
+
+/// Full dual-ring interconnect for `nodes` tiles (data ring + credit ring +
+/// one NI per tile).
+StructuralEstimate estimate_dual_ring(int nodes) {
+  ACC_EXPECTS(nodes >= 2);
   StructuralEstimate e;
   // Per node and per ring: a slot register (width + header), an eject
   // comparator, and injection mux; plus the per-tile NI. Two rings.
-  const std::int64_t per_node_per_ring = width + 16 /*hdr*/ + 24 /*cmp+mux*/;
+  const std::int64_t per_node_per_ring = kWidth + 16 /*hdr*/ + 24 /*cmp+mux*/;
   e.luts = static_cast<std::int64_t>(nodes) *
            (2 * per_node_per_ring + estimate_ring_ni().luts);
   e.ffs = static_cast<std::int64_t>(nodes) *
-          (2 * (width + 16) + estimate_ring_ni().ffs);
+          (2 * (kWidth + 16) + estimate_ring_ni().ffs);
   return e;
 }
 
-StructuralEstimate estimate_tdm_crossbar(int nodes, int width) {
-  ACC_EXPECTS(nodes >= 2 && width >= 8);
+/// Point-to-point crossbar with a pre-computed TDM schedule for `nodes`
+/// tiles.
+StructuralEstimate estimate_tdm_crossbar(int nodes) {
+  ACC_EXPECTS(nodes >= 2);
   StructuralEstimate e;
   // Each output port selects among `nodes` inputs: a width-wide
   // nodes-to-1 mux costs ~width * (nodes-1) / 2 LUT6s (2 mux2 per LUT),
   // plus the TDM slot table and per-port control.
-  const std::int64_t mux_luts =
-      static_cast<std::int64_t>(width) * (nodes - 1) / 2 + 1;
+  const std::int64_t mux_luts = kWidth * (nodes - 1) / 2 + 1;
   const std::int64_t slot_table = 8 * nodes;  // schedule storage addressing
   e.luts = static_cast<std::int64_t>(nodes) * (mux_luts + slot_table + 40);
   // Output registers + schedule counters.
-  e.ffs = static_cast<std::int64_t>(nodes) * (width + 32);
+  e.ffs = static_cast<std::int64_t>(nodes) * (kWidth + 32);
   return e;
 }
+
+}  // namespace
 
 std::vector<InterconnectComparison> compare_interconnects(
     const std::vector<int>& node_counts) {

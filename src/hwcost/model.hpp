@@ -86,18 +86,6 @@ struct StructuralEstimate {
 
 // ---- Interconnect scaling (the paper's related-work cost argument) ----
 
-/// Full dual-ring interconnect for `nodes` tiles (data ring + credit ring +
-/// one NI per tile): cost grows LINEARLY in the node count — the reason the
-/// paper uses the ring of refs [11]/[14].
-[[nodiscard]] StructuralEstimate estimate_dual_ring(int nodes,
-                                                    int width = 64);
-
-/// Point-to-point switch/crossbar with a pre-computed TDM schedule
-/// (PROPHID [9] / Aethereal-style [13]): crosspoint muxes grow
-/// QUADRATICALLY in the node count.
-[[nodiscard]] StructuralEstimate estimate_tdm_crossbar(int nodes,
-                                                       int width = 64);
-
 struct InterconnectComparison {
   int nodes = 0;
   FpgaCost ring;
@@ -105,7 +93,12 @@ struct InterconnectComparison {
   double crossbar_over_ring = 0.0;  // LUT ratio
 };
 
-/// Ring vs crossbar across system sizes.
+/// Ring vs crossbar across system sizes (64-bit links, every node count
+/// >= 2). The full dual ring (data ring + credit ring + one NI per tile)
+/// grows LINEARLY in the node count — the reason the paper uses the ring of
+/// refs [11]/[14]. A point-to-point switch/crossbar with a pre-computed TDM
+/// schedule (PROPHID [9] / Aethereal-style [13]) grows QUADRATICALLY in its
+/// crosspoint muxes.
 [[nodiscard]] std::vector<InterconnectComparison> compare_interconnects(
     const std::vector<int>& node_counts);
 

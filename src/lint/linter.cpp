@@ -1048,27 +1048,6 @@ LintReport lint_config_json(const json::Value& doc, const std::string& name,
   return rep;
 }
 
-LintReport lint_config_text(const std::string& text, const std::string& name,
-                            const LintOptions& opts) {
-  std::optional<json::Value> doc = json::parse(text);
-  if (!doc.has_value()) {
-    LintReport rep(name);
-    rep.add("C01", "$", "not valid JSON");
-    return rep;
-  }
-  return lint_config_json(*doc, name, opts);
-}
-
-LintReport lint_spec(const sharing::SharedSystemSpec& spec,
-                     const std::vector<std::int64_t>& etas,
-                     const std::string& name) {
-  LintInput in;
-  in.name = name;
-  in.spec = spec;
-  in.etas = etas;
-  return lint_input(in);
-}
-
 FaultsDecl faults_from_injector(const sim::FaultInjector& inj) {
   FaultsDecl fd;
   fd.seeded = true;  // the injector cannot be constructed without a seed

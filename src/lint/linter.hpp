@@ -145,16 +145,6 @@ struct LintOptions {
                                           const std::string& name,
                                           const LintOptions& opts = {});
 
-/// Same, from text; a syntax error yields a single C01 diagnostic.
-[[nodiscard]] LintReport lint_config_text(const std::string& text,
-                                          const std::string& name,
-                                          const LintOptions& opts = {});
-
-/// Convenience for programs that only have a spec (+ optional block sizes).
-[[nodiscard]] LintReport lint_spec(const sharing::SharedSystemSpec& spec,
-                                   const std::vector<std::int64_t>& etas,
-                                   const std::string& name);
-
 /// Mirror a live FaultInjector's configuration into a lintable declaration
 /// (sites carry their fault_site_name; the injector's seed marks it seeded).
 [[nodiscard]] FaultsDecl faults_from_injector(const sim::FaultInjector& inj);

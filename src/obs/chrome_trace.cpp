@@ -44,8 +44,8 @@ json::Object counter_event(const std::string& series, sim::Cycle ts,
 json::Value chrome_trace_doc(const sim::TraceLog& log,
                              const ChromeTraceOptions& opt) {
   json::Array events;
-  events.push_back(meta_event("process_name", kCountersTid, "accshare-sim"));
-  events.push_back(meta_event("thread_name", kCountersTid, "counters"));
+  events.emplace_back(meta_event("process_name", kCountersTid, "accshare-sim"));
+  events.emplace_back(meta_event("thread_name", kCountersTid, "counters"));
 
   // Track (tid) per source, assigned in first-appearance order. The
   // TraceLog is deterministic for a given run, so so is this mapping.
@@ -54,7 +54,7 @@ json::Value chrome_trace_doc(const sim::TraceLog& log,
     if (tids.find(e.source) != tids.end()) continue;
     const auto tid = static_cast<std::int64_t>(tids.size()) + 1;
     tids.emplace(e.source, tid);
-    events.push_back(meta_event("thread_name", tid, e.source));
+    events.emplace_back(meta_event("thread_name", tid, e.source));
   }
 
   // Open reconfig window per source (reconfig.start awaiting its done).
@@ -77,7 +77,7 @@ json::Value chrome_trace_doc(const sim::TraceLog& log,
     json::Object args;
     args["value"] = e.value;
     inst["args"] = std::move(args);
-    events.push_back(std::move(inst));
+    events.emplace_back(std::move(inst));
 
     if (opt.durations) {
       if (e.event == "reconfig.start") {
@@ -95,7 +95,7 @@ json::Value chrome_trace_doc(const sim::TraceLog& log,
           json::Object dargs;
           dargs["stream"] = e.value;
           dur["args"] = std::move(dargs);
-          events.push_back(std::move(dur));
+          events.emplace_back(std::move(dur));
           open_reconfig.erase(it);
         }
       } else if (e.event == "modechange.start") {
@@ -113,16 +113,16 @@ json::Value chrome_trace_doc(const sim::TraceLog& log,
           json::Object dargs;
           dargs["stream"] = e.value;
           dur["args"] = std::move(dargs);
-          events.push_back(std::move(dur));
+          events.emplace_back(std::move(dur));
           open_modechange.erase(it);
         }
       }
     }
     if (opt.counters) {
       if (e.event == "block.done")
-        events.push_back(counter_event("blocks.done", e.cycle, ++blocks_done));
+        events.emplace_back(counter_event("blocks.done", e.cycle, ++blocks_done));
       else if (e.event.rfind("fault.", 0) == 0)
-        events.push_back(counter_event("faults", e.cycle, ++faults_seen));
+        events.emplace_back(counter_event("faults", e.cycle, ++faults_seen));
     }
   }
 
@@ -141,7 +141,7 @@ json::Value chrome_trace_doc(const sim::TraceLog& log,
     json::Object args;
     args["dropped"] = static_cast<std::int64_t>(log.dropped());
     trunc["args"] = std::move(args);
-    events.push_back(std::move(trunc));
+    events.emplace_back(std::move(trunc));
   }
 
   json::Object doc;

@@ -110,7 +110,7 @@ json::Value MetricsRegistry::snapshot_json() const {
           else
             bucket["le"] = "inf";
           bucket["count"] = cell->counts[b];
-          buckets.push_back(std::move(bucket));
+          buckets.emplace_back(std::move(bucket));
         }
         m["buckets"] = std::move(buckets);
         break;

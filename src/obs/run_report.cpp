@@ -37,7 +37,7 @@ json::Value run_report_doc(const RunReportInput& in,
     row["blocks"] = s.blocks;
     row["service"] = margin_cell(s.service_observed, s.service_bound);
     row["spacing"] = margin_cell(s.spacing_observed, s.spacing_bound);
-    streams.push_back(std::move(row));
+    streams.emplace_back(std::move(row));
   }
   doc["streams"] = std::move(streams);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 
 #include "common/check.hpp"
@@ -24,24 +23,12 @@ void put_u16(std::vector<std::uint8_t>* out, std::uint16_t v) {
 }
 
 void put_tag(std::vector<std::uint8_t>* out, const char* tag) {
-  out->insert(out->end(), tag, tag + 4);
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<std::uint8_t>(tag[i]));
 }
 
 std::int16_t quantize(double v) {
   const double clipped = std::clamp(v, -1.0, 1.0);
   return static_cast<std::int16_t>(std::lround(clipped * 32767.0));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t off) {
-  return static_cast<std::uint32_t>(b[off]) |
-         (static_cast<std::uint32_t>(b[off + 1]) << 8) |
-         (static_cast<std::uint32_t>(b[off + 2]) << 16) |
-         (static_cast<std::uint32_t>(b[off + 3]) << 24);
-}
-
-std::uint16_t get_u16(std::span<const std::uint8_t> b, std::size_t off) {
-  return static_cast<std::uint16_t>(
-      b[off] | (static_cast<std::uint16_t>(b[off + 1]) << 8));
 }
 
 }  // namespace
@@ -86,26 +73,6 @@ bool write_wav_stereo(const std::string& path, std::span<const double> left,
   f.write(reinterpret_cast<const char*>(bytes.data()),
           static_cast<std::streamsize>(bytes.size()));
   return static_cast<bool>(f);
-}
-
-WavInfo parse_wav_header(std::span<const std::uint8_t> bytes) {
-  WavInfo info;
-  if (bytes.size() < 44) return info;
-  if (std::memcmp(bytes.data(), "RIFF", 4) != 0 ||
-      std::memcmp(bytes.data() + 8, "WAVE", 4) != 0 ||
-      std::memcmp(bytes.data() + 12, "fmt ", 4) != 0 ||
-      std::memcmp(bytes.data() + 36, "data", 4) != 0) {
-    return info;
-  }
-  info.channels = get_u16(bytes, 22);
-  info.sample_rate = get_u32(bytes, 24);
-  info.bits_per_sample = get_u16(bytes, 34);
-  const std::uint32_t data_bytes = get_u32(bytes, 40);
-  if (info.channels == 0 || info.bits_per_sample == 0) return info;
-  info.num_frames =
-      data_bytes / (info.channels * (info.bits_per_sample / 8));
-  info.valid = true;
-  return info;
 }
 
 }  // namespace acc::radio

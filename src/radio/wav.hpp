@@ -20,15 +20,4 @@ bool write_wav_stereo(const std::string& path, std::span<const double> left,
                       std::span<const double> right,
                       std::uint32_t sample_rate);
 
-/// Parsed header info (for tests / sanity checks).
-struct WavInfo {
-  bool valid = false;
-  std::uint16_t channels = 0;
-  std::uint32_t sample_rate = 0;
-  std::uint16_t bits_per_sample = 0;
-  std::uint32_t num_frames = 0;
-};
-
-[[nodiscard]] WavInfo parse_wav_header(std::span<const std::uint8_t> bytes);
-
 }  // namespace acc::radio

@@ -74,18 +74,6 @@ Rational utilization(const SharedSystemSpec& sys) {
   return sum * Rational(bottleneck_cycles_per_sample(sys.chain));
 }
 
-Time worst_case_sample_latency(const SharedSystemSpec& sys,
-                               std::size_t stream,
-                               const std::vector<std::int64_t>& etas,
-                               Time sample_period) {
-  ACC_EXPECTS(stream < sys.num_streams());
-  ACC_EXPECTS(etas.size() == sys.num_streams());
-  ACC_EXPECTS(sample_period >= 1);
-  return checked_add(
-      checked_mul(etas[stream] - 1, sample_period, "worst_case_sample_latency"),
-      gamma_hat(sys, etas), "worst_case_sample_latency");
-}
-
 BlockSchedule block_schedule(const SharedSystemSpec& sys, std::size_t stream,
                              std::int64_t eta) {
   ACC_EXPECTS(stream < sys.num_streams());

@@ -47,17 +47,6 @@ namespace acc::sharing {
 /// Algorithm 1 has a finite solution exactly then).
 [[nodiscard]] Rational utilization(const SharedSystemSpec& sys);
 
-/// Worst-case latency (cycles) from a sample's arrival in stream s's input
-/// C-FIFO to its delivery into the output C-FIFO — an analysis the paper
-/// leaves implicit. In the worst case the sample is the FIRST of its block
-/// and waits (eta_s - 1) sample periods for the block to fill, then the
-/// block waits for every other stream's turn and its own service: together
-/// gamma_hat (Eq. 4). Blocking by batching is the latency price of
-/// amortizing R_s — quantified by bench_ablation_reconfig.
-[[nodiscard]] Time worst_case_sample_latency(
-    const SharedSystemSpec& sys, std::size_t stream,
-    const std::vector<std::int64_t>& etas, Time sample_period);
-
 /// One bar of the Fig. 6 Gantt chart.
 struct ScheduleEntry {
   std::string actor;   // "G0", "A0", "A1", ..., "G1"

@@ -45,15 +45,15 @@ struct Task {
   /// unset to keep the tile dense (exact but slow). When set, `invoke`
   /// must be side-effect free whenever it returns 0 — blocked attempts are
   /// elided, not replayed, while cycles are skipped.
-  std::function<Cycle(Cycle now)> next_ready;
+  std::function<Cycle(Cycle now)> next_ready{};
   /// Wake-list contract companions to next_ready: EVERY C-FIFO whose fill
   /// the hint reads goes in wake_on_push, every C-FIFO whose space it
   /// reads goes in wake_on_pop (the tile registers as watcher on all of
   /// them). A hinted task that lists neither marks the tile wake-unsafe,
   /// and the scheduler falls back to re-querying it every active cycle —
   /// exact, but it forfeits selective ticking for this tile.
-  std::vector<CFifo*> wake_on_push;
-  std::vector<CFifo*> wake_on_pop;
+  std::vector<CFifo*> wake_on_push{};
+  std::vector<CFifo*> wake_on_pop{};
 };
 
 /// Scheduling policy of the paper's budget scheduler (ref [18]): both

@@ -70,12 +70,6 @@ constexpr struct {
 
 }  // namespace
 
-const char* mutation_name(Mutation m) {
-  for (const auto& e : kMutationNames)
-    if (e.m == m) return e.name;
-  return "?";
-}
-
 std::optional<Mutation> mutation_from_string(std::string_view s) {
   for (const auto& e : kMutationNames)
     if (e.name == s) return e.m;

@@ -54,7 +54,6 @@ enum class Mutation {
   kMidRoundReconfig,
 };
 
-[[nodiscard]] const char* mutation_name(Mutation m);
 [[nodiscard]] std::optional<Mutation> mutation_from_string(std::string_view s);
 
 /// Everything needed to (re)build a verification model deterministically.

@@ -150,19 +150,6 @@ VerifyResult verify_config_json(const json::Value& doc,
   return r;
 }
 
-VerifyResult verify_config_text(const std::string& text,
-                                const std::string& name,
-                                const VerifyOptions& opts,
-                                const lint::LintOptions& lint_opts) {
-  const std::optional<json::Value> doc = json::parse(text);
-  if (!doc.has_value()) {
-    VerifyResult r{lint::LintReport(name)};
-    r.report.add("C01", "$", "configuration is not valid JSON");
-    return r;
-  }
-  return verify_config_json(*doc, name, opts, lint_opts);
-}
-
 std::string render_counterexample(const json::Value& doc,
                                   const std::string& name,
                                   const VerifyResult& r,

@@ -74,7 +74,7 @@ struct VerifyResult {
   lint::LintReport report;
   /// Environment-action sequence reaching the first violating state (empty
   /// when the violation is in the initial state, or when clean).
-  std::vector<Action> counterexample;
+  std::vector<Action> counterexample{};
   std::int64_t states_explored = 0;
   std::int64_t depth_reached = 0;
   /// A budget (states or max_advance) clipped the search: "clean" means
@@ -92,11 +92,6 @@ struct VerifyResult {
 /// to them exactly as to lint rules.
 [[nodiscard]] VerifyResult verify_config_json(
     const json::Value& doc, const std::string& name,
-    const VerifyOptions& opts = {}, const lint::LintOptions& lint_opts = {});
-
-/// Same, from text; a syntax error yields a single C01 diagnostic.
-[[nodiscard]] VerifyResult verify_config_text(
-    const std::string& text, const std::string& name,
     const VerifyOptions& opts = {}, const lint::LintOptions& lint_opts = {});
 
 /// Deterministically replay a counterexample against a fresh model built

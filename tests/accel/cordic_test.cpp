@@ -21,7 +21,7 @@ TEST(Cordic, RotateZeroAngleIsIdentity) {
 
 TEST(Cordic, RotateUnitVectorGivesSinCos) {
   for (double a : {0.1, 0.5, 1.0, 1.5, 2.0, 3.0, -0.7, -2.5, M_PI, -3.0}) {
-    const Q16 angle = q16_wrap_angle(a);
+    const Q16 angle = Q16::from_double(a);
     const RotateResult r =
         cordic_rotate(Q16::from_double(1.0), Q16::from_double(0.0), angle);
     EXPECT_NEAR(r.x.to_double(), std::cos(a), kTol) << "angle " << a;
@@ -37,13 +37,6 @@ TEST(Cordic, VectorRecoverAngleAndMagnitude) {
     EXPECT_NEAR(v.angle.to_double(), a, kTol) << "angle " << a;
     EXPECT_NEAR(v.magnitude.to_double(), m, kTol) << "angle " << a;
   }
-}
-
-TEST(Cordic, WrapAngleIntoPrincipalRange) {
-  EXPECT_NEAR(q16_wrap_angle(3 * M_PI).to_double(), M_PI, 1e-4);
-  EXPECT_NEAR(q16_wrap_angle(-3 * M_PI).to_double(), M_PI, 1e-4);
-  EXPECT_NEAR(q16_wrap_angle(2 * M_PI + 0.5).to_double(), 0.5, 1e-4);
-  EXPECT_NEAR(q16_wrap_angle(-0.5).to_double(), -0.5, 1e-4);
 }
 
 TEST(Cordic, IterationCountTradesAccuracy) {

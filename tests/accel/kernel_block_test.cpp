@@ -169,7 +169,7 @@ TEST(KernelBlock, CordicRotateBlockMatchesScalar) {
   for (int i = 0; i < 500; ++i) {
     xs.push_back(Q16::from_double(rng.uniform_real(-1.9, 1.9)));
     ys.push_back(Q16::from_double(rng.uniform_real(-1.9, 1.9)));
-    as.push_back(q16_wrap_angle(rng.uniform_real(-3.14159, 3.14159)));
+    as.push_back(Q16::from_double(rng.uniform_real(-3.14159, 3.14159)));
   }
   // Edge rows: rails and exact +-pi/2 fold boundaries.
   for (std::int32_t raw : {kI32Max, kI32Min, std::int32_t{0}}) {

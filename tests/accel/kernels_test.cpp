@@ -140,12 +140,5 @@ TEST(FmDiscriminatorBehaviour, StateIsPreviousSample) {
   EXPECT_EQ(state[1], Q16::from_double(0.25).raw());
 }
 
-TEST(RunBlock, ProcessesWholeSpan) {
-  DecimatingFir fir(quantize_taps(design_lowpass(5, 0.2)), 2);
-  std::vector<CQ16> in(10, CQ16{Q16::from_double(0.1), Q16{}});
-  const std::vector<CQ16> out = run_block(fir, in);
-  EXPECT_EQ(out.size(), 5u);
-}
-
 }  // namespace
 }  // namespace acc::accel

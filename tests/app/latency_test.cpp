@@ -2,6 +2,12 @@
 // must sit under the analytic per-stage worst-case latency bounds plus the
 // deliberate DAC prefill buffering — and source jitter within the buffer
 // slack must not break real time.
+//
+// A stream's worst-case sample latency, from arrival in its input C-FIFO to
+// delivery into its output C-FIFO, is L̂ = (eta_s - 1) * p + gamma_hat: the
+// first sample of a block waits eta_s - 1 sample periods p for the block to
+// fill, then the block waits at most one round gamma_hat (Eq. 4) for every
+// other stream's turn and its own service.
 #include <gtest/gtest.h>
 
 #include "app/pal_system.hpp"
@@ -9,17 +15,6 @@
 
 namespace acc::app {
 namespace {
-
-TEST(Latency, BoundFormula) {
-  sharing::SharedSystemSpec sys;
-  sys.chain.accel_cycles_per_sample = {1};
-  sys.chain.entry_cycles_per_sample = 2;
-  sys.chain.exit_cycles_per_sample = 1;
-  sys.streams = {{"a", Rational(1, 8), 10}, {"b", Rational(1, 8), 10}};
-  const std::vector<std::int64_t> etas{4, 4};
-  // gamma = 2 * (10 + (4+2)*2) = 44; bound = 3*8 + 44.
-  EXPECT_EQ(sharing::worst_case_sample_latency(sys, 0, etas, 8), 24 + 44);
-}
 
 TEST(Latency, MeasuredAudioLatencyWithinAnalyticBudget) {
   PalSimConfig cfg;
@@ -33,10 +28,10 @@ TEST(Latency, MeasuredAudioLatencyWithinAnalyticBudget) {
   // Path budget: stage-1 stream latency (input at the front-end period) +
   // stage-2 stream latency (input at 8x that period) + the DAC's deliberate
   // prefill (a burst + 2 samples at the audio period) + software slack.
-  const sim::Cycle stage1 = sharing::worst_case_sample_latency(
-      spec, 0, etas, cfg.input_period);
-  const sim::Cycle stage2 = sharing::worst_case_sample_latency(
-      spec, 2, etas, cfg.input_period * cfg.decimation);
+  const sim::Cycle gamma = sharing::gamma_hat(spec, etas);
+  const sim::Cycle stage1 = (etas[0] - 1) * cfg.input_period + gamma;
+  const sim::Cycle stage2 =
+      (etas[2] - 1) * cfg.input_period * cfg.decimation + gamma;
   const sim::Cycle audio_period =
       cfg.input_period * cfg.decimation * cfg.decimation;
   const sim::Cycle prefill =

@@ -32,7 +32,9 @@ TEST(RingBuffer, FifoOrderAcrossGrowthMatchesDeque) {
     }
     ASSERT_EQ(rb.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(rb[i], ref[i]);
-    if (!ref.empty()) ASSERT_EQ(rb.back(), ref.back());
+    if (!ref.empty()) {
+      ASSERT_EQ(rb.back(), ref.back());
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/throughput.hpp"
 #include "common/rng.hpp"
 #include "dataflow/dse.hpp"
 #include "dataflow/graph.hpp"
@@ -31,11 +32,6 @@ TEST(BufferSizing, LowerBoundCoversRatesAndFill) {
   const ActorId b = g.add_sdf_actor("B", 1);
   const Channel ch = g.add_channel(a, b, {3}, {5}, 8, 2);
   EXPECT_EQ(channel_capacity_lower_bound(g, ch), 5);
-}
-
-TEST(BufferSizing, MeasureThroughputMatchesExecutor) {
-  ProducerConsumer pc = make_pc(1, 1, 1, 1, 2);
-  EXPECT_EQ(measure_throughput(pc.g, pc.a), Rational(1));
 }
 
 TEST(BufferSizing, DoubleBufferingForUnitRates) {
@@ -92,7 +88,7 @@ TEST(BufferSizing, SearchesStayWithinMaxCapacity) {
   // Below the structural minimum of 5 the channel deadlocks the graph, and
   // no target is reachable, not even the rate 1/10 that 5 gives.
   opt.max_capacity = 4;
-  EXPECT_EQ(max_throughput_with_unbounded_channels(pc.g, {pc.ch}, pc.a, opt),
+  EXPECT_EQ(DseEngine(pc.g, {pc.ch}, pc.a, opt).max_throughput_unbounded(),
             Rational(0));
   EXPECT_THROW((void)min_channel_capacity_for_throughput(
                    pc.g, pc.ch, pc.a, Rational(1, 10), opt),
@@ -100,20 +96,20 @@ TEST(BufferSizing, SearchesStayWithinMaxCapacity) {
 
   // Doubling from the minimum 6 would stop at 6; capacity 8 does better.
   ProducerConsumer wide = make_pc(3, 1, 2, 6, 8);
-  const Rational at_max = measure_throughput(wide.g, wide.b);
+  const Rational at_max = reference_throughput(wide.g, wide.b);
   EXPECT_EQ(at_max, Rational(1, 9));
   opt.max_capacity = 8;
   EXPECT_EQ(
-      max_throughput_with_unbounded_channels(wide.g, {wide.ch}, wide.b, opt),
+      DseEngine(wide.g, {wide.ch}, wide.b, opt).max_throughput_unbounded(),
       at_max);
 }
 
 TEST(BufferSizing, MaxThroughputWithUnboundedChannels) {
   ProducerConsumer pc = make_pc(3, 1, 1, 1, 1);
-  const Rational best = max_throughput_with_unbounded_channels(
-      pc.g, {pc.ch}, pc.a);
+  const Rational best =
+      DseEngine(pc.g, {pc.ch}, pc.a).max_throughput_unbounded();
   EXPECT_EQ(best, Rational(1, 3));
-  EXPECT_EQ(pc.g.channel_capacity(pc.ch), 1);  // restored
+  EXPECT_EQ(pc.g.channel_capacity(pc.ch), 1);  // untouched
 }
 
 TEST(BufferSizing, MultiRateMinimumCapacity) {
@@ -121,15 +117,15 @@ TEST(BufferSizing, MultiRateMinimumCapacity) {
   // throughput the channel needs room for a consumer batch plus production
   // granularity; the search must find the exact minimum.
   ProducerConsumer pc = make_pc(1, 1, 2, 3, 3);
-  const Rational best = max_throughput_with_unbounded_channels(
-      pc.g, {pc.ch}, pc.b);
+  const Rational best =
+      DseEngine(pc.g, {pc.ch}, pc.b).max_throughput_unbounded();
   const std::int64_t cap = min_channel_capacity_for_throughput(
       pc.g, pc.ch, pc.b, best);
   // Verify exactness: cap works, cap-1 does not.
   pc.g.set_channel_capacity(pc.ch, cap);
-  EXPECT_GE(measure_throughput(pc.g, pc.b), best);
+  EXPECT_GE(reference_throughput(pc.g, pc.b), best);
   pc.g.set_channel_capacity(pc.ch, cap - 1);
-  EXPECT_LT(measure_throughput(pc.g, pc.b), best);
+  EXPECT_LT(reference_throughput(pc.g, pc.b), best);
 }
 
 TEST(BufferSizing, MinimizeTotalCapacityTwoStagePipeline) {
@@ -164,14 +160,14 @@ TEST(BufferSizing, MinimizeTotalRespectsTradeoffs) {
   // Feasibility of the reported assignment.
   g.set_channel_capacity(ab, res.capacities[0]);
   g.set_channel_capacity(bc, res.capacities[1]);
-  EXPECT_GE(measure_throughput(g, b), target);
+  EXPECT_GE(reference_throughput(g, b), target);
   // Optimality: brute-force all assignments with smaller total.
   for (std::int64_t x = 2; x <= res.total; ++x) {
     for (std::int64_t y = 2; y <= res.total; ++y) {
       if (x + y >= res.total) continue;
       g.set_channel_capacity(ab, x);
       g.set_channel_capacity(bc, y);
-      EXPECT_LT(measure_throughput(g, b), target)
+      EXPECT_LT(reference_throughput(g, b), target)
           << "smaller assignment (" << x << "," << y << ") is feasible";
     }
   }
@@ -188,7 +184,7 @@ TEST(BufferSizingProperty, ThroughputMonotoneInCapacity) {
     Rational prev(0);
     for (std::int64_t cap = lb; cap <= lb + 8; ++cap) {
       pc.g.set_channel_capacity(pc.ch, cap);
-      const Rational t = measure_throughput(pc.g, pc.a);
+      const Rational t = reference_throughput(pc.g, pc.a);
       EXPECT_GE(t, prev) << "cap=" << cap;
       prev = t;
     }

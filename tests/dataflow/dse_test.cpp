@@ -11,6 +11,7 @@
 #include <numeric>
 #include <set>
 
+#include "../support/throughput.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "dataflow/buffer_sizing.hpp"
@@ -82,7 +83,7 @@ ProducerConsumer make_pc(Time da, Time db, std::int64_t p, std::int64_t c,
 }
 
 /// Reference implementation: the pre-engine serial staircase DFS, probing
-/// the graph directly with measure_throughput. Ground truth for pruning
+/// the graph directly with reference_throughput. Ground truth for pruning
 /// correctness.
 MultiBufferResult brute_force_minimize(Graph& g,
                                        const std::vector<Channel>& channels,
@@ -101,7 +102,7 @@ MultiBufferResult brute_force_minimize(Graph& g,
     for (std::int64_t c = channel_capacity_lower_bound(g, channels[i]);; ++c) {
       ACC_CHECK(c <= opt.max_capacity);
       g.set_channel_capacity(channels[i], c);
-      if (measure_throughput(g, reference, opt) >= target) {
+      if (reference_throughput(g, reference) >= target) {
         lower[i] = c;
         break;
       }
@@ -114,7 +115,7 @@ MultiBufferResult brute_force_minimize(Graph& g,
     for (std::int64_t c = channel_capacity_lower_bound(g, channels[i]);; ++c) {
       ACC_CHECK(c <= opt.max_capacity);
       g.set_channel_capacity(channels[i], c);
-      if (measure_throughput(g, reference, opt) >= target) {
+      if (reference_throughput(g, reference) >= target) {
         upper[i] = c;
         break;
       }
@@ -134,7 +135,7 @@ MultiBufferResult brute_force_minimize(Graph& g,
       caps[idx] = lower[idx] + slack;
       for (std::size_t j = 0; j < k; ++j)
         g.set_channel_capacity(channels[j], caps[j]);
-      return measure_throughput(g, reference, opt) >= target;
+      return reference_throughput(g, reference) >= target;
     }
     for (std::int64_t extra = 0; extra <= slack; ++extra) {
       if (lower[idx] + extra > upper[idx]) break;
@@ -180,22 +181,6 @@ TEST(DseEngine, MemoCacheSharedAcrossSearchPhases) {
   const Rational best = engine.max_throughput_unbounded();
   (void)engine.min_capacity_for(0, engine.snapshot_capacities(), best);
   EXPECT_GT(engine.stats().cache_hits, 0);
-}
-
-TEST(DseEngine, FingerprintSeparatesStructures) {
-  ProducerConsumer pc1 = make_pc(1, 2, 1, 1, 2);
-  ProducerConsumer pc2 = make_pc(1, 2, 1, 1, 2);
-  ProducerConsumer pc3 = make_pc(1, 3, 1, 1, 2);
-  DseEngine e1(pc1.g, {pc1.ch}, pc1.a);
-  DseEngine e2(pc2.g, {pc2.ch}, pc2.a);
-  DseEngine e3(pc3.g, {pc3.ch}, pc3.a);
-  EXPECT_EQ(e1.graph_fingerprint(), e2.graph_fingerprint());
-  EXPECT_NE(e1.graph_fingerprint(), e3.graph_fingerprint());
-  // Capacity changes must NOT change the fingerprint (they are the memo key,
-  // not part of it).
-  pc1.g.set_channel_capacity(pc1.ch, 7);
-  DseEngine e4(pc1.g, {pc1.ch}, pc1.a);
-  EXPECT_EQ(e1.graph_fingerprint(), e4.graph_fingerprint());
 }
 
 // ---------------------------------------------------------------- pruning
@@ -247,8 +232,8 @@ TEST(DseEngine, MinimizeMatchesBruteForceOnSmallGraphs) {
     const Channel bc = g.add_channel(b, c, {1}, {rng.uniform(1, 2)}, 2);
     BufferSizingOptions opt;
     opt.max_capacity = 64;
-    const Rational target = max_throughput_with_unbounded_channels(
-        g, {ab, bc}, b, opt);
+    const Rational target =
+        DseEngine(g, {ab, bc}, b, opt).max_throughput_unbounded();
     const MultiBufferResult ref =
         brute_force_minimize(g, {ab, bc}, b, target, opt);
     for (const int jobs : {1, 3}) {
@@ -265,7 +250,7 @@ TEST(DseEngine, MinimizeMatchesBruteForceOnSmallGraphs) {
 
 // ---------------------------------------------------------------- re-timing
 
-TEST(DseEngine, RetimeClearsTheMemoAndMovesTheFingerprint) {
+TEST(DseEngine, RetimeClearsTheMemo) {
   ProducerConsumer pc = make_pc(1, 2, 1, 1, 4);
   DseEngine engine(pc.g, {pc.ch}, pc.b);
   EXPECT_EQ(engine.throughput({4}), Rational(1, 2));
@@ -273,9 +258,6 @@ TEST(DseEngine, RetimeClearsTheMemoAndMovesTheFingerprint) {
   EXPECT_EQ(engine.throughput({4}), Rational(1, 4));  // simulated again
   EXPECT_EQ(engine.stats().simulations, 2);
   EXPECT_EQ(engine.stats().cache_hits, 0);
-  pc.g.set_actor_duration(pc.b, 4);
-  DseEngine fresh(pc.g, {pc.ch}, pc.b);
-  EXPECT_EQ(engine.graph_fingerprint(), fresh.graph_fingerprint());
   // The duration coordinate belongs to one actor.
   EXPECT_THROW(engine.retime(pc.a, 3), precondition_error);
 }

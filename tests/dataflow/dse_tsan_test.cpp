@@ -52,8 +52,9 @@ void check_minimize(std::int64_t eta, std::int64_t chunk) {
   BufferSizingOptions opt;
   opt.max_capacity = 8 * eta + 8 * chunk + 32;
   const Rational target =
-      max_throughput_with_unbounded_channels(
-          ref_model.g, {ref_model.in, ref_model.out}, ref_model.consumer, opt);
+      DseEngine(ref_model.g, {ref_model.in, ref_model.out}, ref_model.consumer,
+                opt)
+          .max_throughput_unbounded();
 
   opt.jobs = 1;
   const MultiBufferResult serial =
@@ -96,8 +97,8 @@ void check_retime(std::int64_t eta, std::int64_t chunk) {
   BufferSizingOptions opt;
   opt.max_capacity = 8 * eta + 8 * chunk + 32;
   // Reachable at the longest duration, hence at every shorter one.
-  const Rational target = max_throughput_with_unbounded_channels(
-      m.g, {m.in, m.out}, m.consumer, opt);
+  const Rational target =
+      DseEngine(m.g, {m.in, m.out}, m.consumer, opt).max_throughput_unbounded();
   const std::vector<Time> durations{longest - 8, longest, longest - 4,
                                     longest - 6, longest - 2};
   std::vector<MultiBufferResult> serial;

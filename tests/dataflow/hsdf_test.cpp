@@ -1,4 +1,5 @@
 #include "../support/hsdf.hpp"
+#include "../support/throughput.hpp"
 
 #include <gtest/gtest.h>
 
@@ -256,7 +257,7 @@ TEST(HsdfProperty, DriftReplayMatchesRunWithoutJumpsOnChunkedChains) {
 TEST(Hsdf, DriftingChainJumpsAndMatchesMcm) {
   ChunkedChain c =
       chunked_chain(4, 2, {2, 5, 3}, {false, false, false}, 400, 64);
-  const Rational full = measure_throughput(c.g, c.consumer);
+  const Rational full = reference_throughput(c.g, c.consumer);
   EXPECT_EQ(full, Rational(1, 4));
   BufferSizingOptions opt;
   DseStats stats;

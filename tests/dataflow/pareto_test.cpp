@@ -2,6 +2,7 @@
 
 #include "common/rng.hpp"
 #include "dataflow/buffer_sizing.hpp"
+#include "dataflow/dse.hpp"
 #include "dataflow/graph.hpp"
 
 namespace acc::df {
@@ -39,9 +40,7 @@ TEST(Pareto, StaircaseStrictlyIncreasing) {
       EXPECT_GT(pts[i].throughput, pts[i - 1].throughput);
     }
     // Final point reaches the saturated maximum.
-    BufferSizingOptions opt;
-    const Rational best =
-        max_throughput_with_unbounded_channels(g, {ch}, b, opt);
+    const Rational best = DseEngine(g, {ch}, b).max_throughput_unbounded();
     EXPECT_EQ(pts.back().throughput, best);
     // And each breakpoint is the true single-channel minimum for its rate.
     for (const ParetoPoint& pt : pts) {

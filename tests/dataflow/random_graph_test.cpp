@@ -9,6 +9,7 @@
 #include "dataflow/buffer_sizing.hpp"
 #include "dataflow/executor.hpp"
 #include "../support/hsdf.hpp"
+#include "../support/throughput.hpp"
 
 namespace acc::df {
 namespace {
@@ -143,11 +144,11 @@ TEST(RandomGraph, ThroughputMonotoneWhenAnyChannelGrows) {
   for (int trial = 0; trial < 30; ++trial) {
     RandomPipeline p = make_pipeline(rng, 3);
     const ActorId last = p.actors.back();
-    const Rational base = measure_throughput(p.g, last);
+    const Rational base = reference_throughput(p.g, last);
     for (const Channel& ch : p.channels) {
       const std::int64_t cap = p.g.channel_capacity(ch);
       p.g.set_channel_capacity(ch, cap + rng.uniform(1, 4));
-      EXPECT_GE(measure_throughput(p.g, last), base) << "trial " << trial;
+      EXPECT_GE(reference_throughput(p.g, last), base) << "trial " << trial;
       p.g.set_channel_capacity(ch, cap);
     }
   }

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/graph_json.hpp"
 #include "common/rng.hpp"
 #include "dataflow/executor.hpp"
 #include "sharing/csdf_model.hpp"
 
 namespace acc::df {
 namespace {
+
+/// Rebuild a graph from its JSON text, as a tool reading a file would.
+Graph from_text(const std::string& text) {
+  return graph_from_json(json::parse_or_throw(text));
+}
 
 TEST(Serialize, RoundTripPreservesStructure) {
   Graph g;
@@ -16,7 +22,7 @@ TEST(Serialize, RoundTripPreservesStructure) {
   g.add_edge(a, b, {2}, {1, 1}, 3, "ab");
   g.add_channel(b, a, {1, 0}, {1}, 5, 1, "back");
 
-  const Graph h = graph_from_string(graph_to_string(g));
+  const Graph h = from_text(graph_to_json(g).pretty());
   ASSERT_EQ(h.num_actors(), g.num_actors());
   ASSERT_EQ(h.num_edges(), g.num_edges());
   for (std::size_t i = 0; i < g.num_actors(); ++i) {
@@ -54,7 +60,7 @@ TEST(Serialize, RoundTripPreservesTemporalBehaviour) {
   o.consumer_period = 0;
   sharing::CsdfStreamModel m = sharing::build_csdf_stream_model(sys, 0, o);
 
-  const Graph copy = graph_from_string(graph_to_string(m.graph));
+  const Graph copy = from_text(graph_to_json(m.graph).pretty());
   SelfTimedExecutor e1(m.graph);
   SelfTimedExecutor e2(copy);
   const auto t1 = e1.run_until_firings(m.exit, 5);
@@ -65,17 +71,17 @@ TEST(Serialize, RoundTripPreservesTemporalBehaviour) {
 }
 
 TEST(Serialize, MalformedDocumentsRejected) {
-  EXPECT_THROW((void)graph_from_string("{}"), precondition_error);
-  EXPECT_THROW((void)graph_from_string("not json"), precondition_error);
+  EXPECT_THROW((void)from_text("{}"), precondition_error);
+  EXPECT_THROW((void)from_text("not json"), precondition_error);
   // Edge referencing a missing actor.
   EXPECT_THROW(
-      (void)graph_from_string(
+      (void)from_text(
           R"({"actors":[{"name":"a","durations":[1]}],
               "edges":[{"src":0,"dst":5,"prod":[1],"cons":[1],"tokens":0}]})"),
       precondition_error);
   // Arity mismatch caught by graph construction.
   EXPECT_THROW(
-      (void)graph_from_string(
+      (void)from_text(
           R"({"actors":[{"name":"a","durations":[1,1]},
                         {"name":"b","durations":[1]}],
               "edges":[{"src":0,"dst":1,"prod":[1],"cons":[1],"tokens":0}]})"),

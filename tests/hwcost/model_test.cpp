@@ -115,15 +115,16 @@ TEST(Structural, PackingModelMapsToSlices) {
 }
 
 TEST(Interconnect, RingScalesLinearly) {
-  const auto r8 = estimate_dual_ring(8);
-  const auto r16 = estimate_dual_ring(16);
-  EXPECT_EQ(r16.luts, 2 * r8.luts);  // strictly linear in nodes
+  const auto cmp = compare_interconnects({8, 16});
+  ASSERT_EQ(cmp.size(), 2u);
+  EXPECT_EQ(cmp[1].ring.luts, 2 * cmp[0].ring.luts);  // strictly linear
 }
 
 TEST(Interconnect, CrossbarScalesSuperlinearly) {
-  const auto x8 = estimate_tdm_crossbar(8);
-  const auto x16 = estimate_tdm_crossbar(16);
-  EXPECT_GT(x16.luts, 2 * x8.luts);  // quadratic crosspoint growth
+  const auto cmp = compare_interconnects({8, 16});
+  ASSERT_EQ(cmp.size(), 2u);
+  // Quadratic crosspoint growth.
+  EXPECT_GT(cmp[1].crossbar.luts, 2 * cmp[0].crossbar.luts);
 }
 
 TEST(Interconnect, RingCheaperAtScale) {
@@ -139,8 +140,7 @@ TEST(Interconnect, RingCheaperAtScale) {
 }
 
 TEST(Interconnect, RejectsBadParameters) {
-  EXPECT_THROW((void)estimate_dual_ring(1), acc::precondition_error);
-  EXPECT_THROW((void)estimate_tdm_crossbar(2, 4), acc::precondition_error);
+  EXPECT_THROW((void)compare_interconnects({1}), acc::precondition_error);
 }
 
 TEST(Arithmetic, CostAlgebra) {

@@ -28,8 +28,14 @@ std::string read_fixture(const std::string& name) {
   return buf.str();
 }
 
+/// Lint a configuration document given as JSON text.
+LintReport lint_text(const std::string& text, const std::string& name,
+                     const LintOptions& opts = {}) {
+  return lint_config_json(json::parse_or_throw(text), name, opts);
+}
+
 LintReport lint_fixture(const std::string& name) {
-  return lint_config_text(read_fixture(name), name);
+  return lint_text(read_fixture(name), name);
 }
 
 sharing::SharedSystemSpec small_spec() {
@@ -141,7 +147,7 @@ TEST(LintReportTest, SuppressedDiagnosticsStayInJsonFlagged) {
 TEST(LintReportTest, UnknownCliAllowIsAConfigError) {
   LintOptions opts;
   opts.suppress = {"Z99"};
-  const LintReport rep = lint_config_text("{}", "cfg", opts);
+  const LintReport rep = lint_text("{}", "cfg", opts);
   EXPECT_TRUE(rep.has("C01"));
   EXPECT_FALSE(rep.clean());
   bool found = false;
@@ -161,38 +167,39 @@ TEST(LintReportTest, ConfigSuppressSectionAndCliAllowBothApply) {
   // The M07 fixture problem (ni_capacity = 1) suppressed from the config...
   std::string text = read_fixture("M07_bad.json");
   text.insert(text.rfind('}'), ", \"suppress\": [\"M07\"]");
-  EXPECT_TRUE(lint_config_text(text, "cfg").clean());
+  EXPECT_TRUE(lint_text(text, "cfg").clean());
   // ...and equivalently from the CLI options (--allow).
   LintOptions opts;
   opts.suppress = {"ni-capacity"};
-  EXPECT_TRUE(lint_config_text(read_fixture("M07_bad.json"), "cfg", opts)
+  EXPECT_TRUE(lint_text(read_fixture("M07_bad.json"), "cfg", opts)
                   .clean());
 }
 
 TEST(LintReportTest, UnknownSuppressEntryIsAConfigError) {
   std::string text = read_fixture("C01_ok.json");
   text.insert(text.rfind('}'), ", \"suppress\": [\"Z99\"]");
-  const LintReport rep = lint_config_text(text, "cfg");
+  const LintReport rep = lint_text(text, "cfg");
   EXPECT_TRUE(rep.has("C01"));
   EXPECT_FALSE(rep.clean());
 }
 
-TEST(LintConfig, SyntaxErrorYieldsSingleC01) {
-  const LintReport rep = lint_config_text("{not json", "cfg");
-  ASSERT_EQ(rep.diagnostics().size(), 1u);
-  EXPECT_EQ(rep.diagnostics()[0].rule, "C01");
-  EXPECT_FALSE(rep.clean());
-}
-
 TEST(LintSpecApi, CleanSpecPassesBrokenSpecFails) {
-  EXPECT_TRUE(lint_spec(small_spec(), {}, "s").clean());
+  const auto lint_spec = [](const sharing::SharedSystemSpec& spec,
+                            const std::vector<std::int64_t>& etas) {
+    LintInput in;
+    in.name = "s";
+    in.spec = spec;
+    in.etas = etas;
+    return lint_input(in);
+  };
+  EXPECT_TRUE(lint_spec(small_spec(), {}).clean());
   sharing::SharedSystemSpec bad = small_spec();
   bad.chain.ni_capacity = 1;
-  const LintReport rep = lint_spec(bad, {}, "s");
+  const LintReport rep = lint_spec(bad, {});
   EXPECT_TRUE(rep.has("M07"));
   EXPECT_FALSE(rep.clean());
-  // Block sizes below 1 via the same convenience entry point.
-  EXPECT_TRUE(lint_spec(small_spec(), {0, 10}, "s").has("M04"));
+  // Block sizes below 1 through the same entry point.
+  EXPECT_TRUE(lint_spec(small_spec(), {0, 10}).has("M04"));
 }
 
 TEST(LintGate, NoLintFlagBypassesAndCleanInputPasses) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "../support/wav_header.hpp"
 #include "common/check.hpp"
 
 namespace acc::radio {

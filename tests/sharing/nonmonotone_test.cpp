@@ -87,8 +87,11 @@ TEST(NonMonotone, GatewaySweepFeasibilityBoundary) {
   // eta=2: gamma = 10+(2+2)*2 = 18 > 16 = 2*8: infeasible; eta=3 feasible.
   EXPECT_FALSE(pts[0].feasible);
   EXPECT_TRUE(pts[1].feasible);
-  for (const auto& p : pts)
-    if (p.feasible) EXPECT_GE(p.alpha0, p.eta);
+  for (const auto& p : pts) {
+    if (p.feasible) {
+      EXPECT_GE(p.alpha0, p.eta);
+    }
+  }
 }
 
 }  // namespace

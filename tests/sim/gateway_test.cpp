@@ -116,7 +116,9 @@ TEST(Gateway, RoundRobinAlternatesStreams) {
   // k-th and (k+1)-th.
   for (std::size_t k = 0; k < 4; ++k) {
     EXPECT_LT(c0[k], c1[k]);
-    if (k + 1 < 4) EXPECT_LT(c1[k], c0[k + 1]);
+    if (k + 1 < 4) {
+      EXPECT_LT(c1[k], c0[k + 1]);
+    }
   }
 }
 

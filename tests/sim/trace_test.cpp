@@ -185,7 +185,9 @@ TEST(ChromeTrace, InstantsAreMonotonePerTrack) {
     const std::int64_t tid = e.at("tid").as_int();
     const std::int64_t ts = e.at("ts").as_int();
     const auto it = last_ts.find(tid);
-    if (it != last_ts.end()) EXPECT_LE(it->second, ts);
+    if (it != last_ts.end()) {
+      EXPECT_LE(it->second, ts);
+    }
     last_ts[tid] = ts;
   }
   EXPECT_FALSE(last_ts.empty());

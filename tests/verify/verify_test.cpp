@@ -38,7 +38,8 @@ std::string read_fixture(const std::string& name) {
 VerifyResult verify_fixture(const std::string& name,
                             const VerifyOptions& opts = {},
                             const lint::LintOptions& lint_opts = {}) {
-  return verify_config_text(read_fixture(name), name, opts, lint_opts);
+  return verify_config_json(json::parse_or_throw(read_fixture(name)), name,
+                            opts, lint_opts);
 }
 
 constexpr const char* kVRules[] = {"V01", "V02", "V03", "V04", "V05", "V06"};
