@@ -29,6 +29,27 @@ TEST(Cordic, RotateUnitVectorGivesSinCos) {
   }
 }
 
+// The rotation accepts any angle in [-pi, pi]: both ends of that range and
+// the +-pi/2 boundaries of its quadrant fold, on a vector off both axes.
+TEST(Cordic, RotateAcceptsBothEndsOfThePrincipalRange) {
+  const double x = 0.6;
+  const double y = 0.2;
+  const auto rotate = [&](Q16 angle) {
+    return cordic_rotate(Q16::from_double(x), Q16::from_double(y), angle);
+  };
+  for (const Q16 half_turn : {q16_pi(), -q16_pi()}) {
+    const RotateResult r = rotate(half_turn);
+    EXPECT_NEAR(r.x.to_double(), -x, kTol);
+    EXPECT_NEAR(r.y.to_double(), -y, kTol);
+  }
+  const RotateResult left = rotate(q16_half_pi());
+  EXPECT_NEAR(left.x.to_double(), -y, kTol);
+  EXPECT_NEAR(left.y.to_double(), x, kTol);
+  const RotateResult right = rotate(-q16_half_pi());
+  EXPECT_NEAR(right.x.to_double(), y, kTol);
+  EXPECT_NEAR(right.y.to_double(), -x, kTol);
+}
+
 TEST(Cordic, VectorRecoverAngleAndMagnitude) {
   for (double a : {0.0, 0.4, 1.2, 2.8, -0.4, -1.6, -3.0}) {
     const double m = 0.8;

@@ -172,6 +172,70 @@ TEST(Executor, ZeroDurationCycleIsRejectedNotHung) {
   EXPECT_THROW(exec.run_until_firings(a, 1000000000), invariant_error);
 }
 
+TEST(Executor, ZeroTokenCycleStarvesBothActorsAtTimeZero) {
+  Graph g;
+  const ActorId a = g.add_sdf_actor("prodA", 1);
+  const ActorId b = g.add_sdf_actor("consB", 1);
+  const EdgeId ab = g.add_sdf_edge(a, b, 1, 1, 0);
+  const EdgeId ba = g.add_sdf_edge(b, a, 1, 1, 0);
+  SelfTimedExecutor exec(g);
+  EXPECT_FALSE(exec.run_until_firings(b, 1).has_value());
+  // Dead on arrival: nothing fired, both actors wait on an empty edge.
+  EXPECT_EQ(exec.now(), 0);
+  EXPECT_EQ(exec.completed_firings(a), 0);
+  EXPECT_EQ(exec.completed_firings(b), 0);
+  EXPECT_EQ(exec.tokens(ab), 0);
+  EXPECT_EQ(exec.tokens(ba), 0);
+  const ThroughputResult r = exec.analyze_throughput(a);
+  EXPECT_TRUE(r.deadlocked);
+  EXPECT_EQ(r.throughput, Rational(0));
+}
+
+TEST(Executor, DeadlockAfterPartialProgress) {
+  // B consumes 3 per firing but only 2 tokens ever circulate.
+  Graph g;
+  const ActorId a = g.add_sdf_actor("A", 2);
+  const ActorId b = g.add_sdf_actor("B", 1);
+  const EdgeId ab = g.add_sdf_edge(a, b, 1, 3, 0);
+  g.add_sdf_edge(b, a, 3, 1, 2);
+  SelfTimedExecutor exec(g);
+  EXPECT_FALSE(exec.run_until_firings(b, 1).has_value());
+  // A fired twice before starving; B holds 2 of the 3 tokens it needs.
+  EXPECT_EQ(exec.completed_firings(a), 2);
+  EXPECT_EQ(exec.completed_firings(b), 0);
+  EXPECT_EQ(exec.now(), 4);
+  EXPECT_EQ(exec.tokens(ab), 2);
+  EXPECT_TRUE(exec.analyze_throughput(a).deadlocked);
+}
+
+TEST(Executor, LiveCycleNeverDeadlocks) {
+  Graph g = two_actor_cycle();
+  SelfTimedExecutor exec(g);
+  const auto t = exec.run_until_firings(g.find_actor("B"), 200);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(*t, 200 * 5);
+  const ThroughputResult r = exec.analyze_throughput(g.find_actor("A"));
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_EQ(r.throughput, Rational(1, 5));
+}
+
+TEST(Executor, RunUntilFiringsStopsAtTheCountedCompletion) {
+  Graph g = two_actor_cycle();
+  SelfTimedExecutor exec(g);
+  // Completions A@2, B@5, A@7, B@10: the run stops at A's second one, and
+  // B's completion at t=10 must not run.
+  const auto t = exec.run_until_firings(0, 2);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(*t, 7);
+  EXPECT_EQ(exec.now(), 7);
+  EXPECT_EQ(exec.completed_firings(0), 2);
+  EXPECT_EQ(exec.completed_firings(1), 1);
+  // A later call resumes from there rather than starting over.
+  const auto resumed = exec.run_until_firings(1, 2);
+  ASSERT_TRUE(resumed.has_value());
+  EXPECT_EQ(*resumed, 10);
+}
+
 TEST(Executor, ResetRestoresInitialState) {
   Graph g = two_actor_cycle();
   SelfTimedExecutor exec(g);

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "dataflow/buffer_sizing.hpp"
 #include "dataflow/executor.hpp"
+#include "dataflow/repetition.hpp"
 #include "../support/hsdf.hpp"
 #include "../support/throughput.hpp"
 
@@ -137,6 +138,49 @@ TEST(RandomGraph, FailingCheckBoundsTheJump) {
   EXPECT_EQ(replayed.transient_iterations, plain.transient_iterations);
   EXPECT_EQ(replayed_end, 491);
   EXPECT_EQ(exec.now(), 491);
+}
+
+// Property: the periodic regime analyze_throughput reports is the one the
+// executor runs into. Past the transient, the reference actor's completion
+// times repeat with the reported period every firings_in_period firings.
+TEST(RandomGraph, FiringsRepeatWithTheAnalyzedPeriod) {
+  SplitMix64 rng(0xC1C11C);
+  int checked = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const int stages = static_cast<int>(rng.uniform(2, 4));
+    RandomPipeline p = trial % 2 == 0 ? make_pipeline(rng, stages, 12)
+                                      : make_csdf_pipeline(rng, stages, 12);
+    const ActorId last = p.actors.back();
+    SelfTimedExecutor exec(p.g);
+    const ThroughputResult r = exec.analyze_throughput(last);
+    if (r.deadlocked) continue;
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_GT(r.firings_in_period, 0);
+    EXPECT_EQ(r.throughput, Rational(r.firings_in_period, r.period));
+    const std::int64_t per_iteration =
+        compute_repetition_vector(p.g).firings[last];
+    const std::int64_t settled = (r.transient_iterations + 1) * per_iteration;
+    const std::int64_t k = r.firings_in_period;
+    const std::int64_t total = settled + 3 * k;
+    if (total > 200000) continue;
+
+    std::vector<Time> ends;
+    ExecObservers obs;
+    obs.on_firing = [&](ActorId a, std::int32_t, Time, Time end) {
+      if (a == last) ends.push_back(end);
+    };
+    exec.reset();
+    exec.set_observers(obs);
+    ASSERT_TRUE(exec.run_until_firings(last, total).has_value());
+    ASSERT_GE(static_cast<std::int64_t>(ends.size()), total);
+    const auto step = static_cast<std::size_t>(k);
+    for (auto j = static_cast<std::size_t>(settled);
+         j + step < static_cast<std::size_t>(total); ++j) {
+      ASSERT_EQ(ends[j + step] - ends[j], r.period) << "firing " << j;
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 60);
 }
 
 TEST(RandomGraph, ThroughputMonotoneWhenAnyChannelGrows) {

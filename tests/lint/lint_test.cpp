@@ -183,6 +183,16 @@ TEST(LintReportTest, UnknownSuppressEntryIsAConfigError) {
   EXPECT_FALSE(rep.clean());
 }
 
+TEST(LintConfig, NonObjectDocumentYieldsSingleC01) {
+  for (const char* text : {"[1, 2]", "42", "\"chain\"", "null"}) {
+    const LintReport rep = lint_text(text, "cfg");
+    ASSERT_EQ(rep.diagnostics().size(), 1u) << text;
+    EXPECT_EQ(rep.diagnostics()[0].rule, "C01") << text;
+    EXPECT_EQ(rep.diagnostics()[0].location, "$") << text;
+    EXPECT_FALSE(rep.clean()) << text;
+  }
+}
+
 TEST(LintSpecApi, CleanSpecPassesBrokenSpecFails) {
   const auto lint_spec = [](const sharing::SharedSystemSpec& spec,
                             const std::vector<std::int64_t>& etas) {

@@ -6,6 +6,7 @@
 #include "dataflow/executor.hpp"
 #include "dataflow/repetition.hpp"
 #include "sharing/analysis.hpp"
+#include "sharing/parametric.hpp"
 
 namespace acc::sharing {
 namespace {
@@ -87,6 +88,51 @@ TEST(CsdfModel, ExecutionMatchesAnalyticSchedule) {
     ASSERT_TRUE(done.has_value()) << "eta=" << eta;
     const BlockSchedule sch = block_schedule(sys, 0, eta);
     EXPECT_EQ(*done, sch.completion) << "eta=" << eta;
+  }
+}
+
+// The same on the paper's chain (entry 15, one accelerator, R = 4100), up to
+// blocks far past the pipeline fill, where the derived affine law applies.
+TEST(CsdfModel, ExecutionMatchesAnalyticScheduleOnPaperChain) {
+  SharedSystemSpec sys = small_system(/*entry=*/15, /*accel=*/1, /*exit=*/1,
+                                      /*reconfig=*/4100);
+  const ParametricCompletion law = parametric_block_completion(sys, 0);
+  for (const std::int64_t eta : {1, 2, 3, 7, 32, 200}) {
+    const CsdfStreamModel m =
+        build_csdf_stream_model(sys, 0, ready_input_options(eta));
+    df::SelfTimedExecutor exec(m.graph);
+    const auto done = exec.run_until_firings(m.exit, eta);
+    ASSERT_TRUE(done.has_value()) << "eta=" << eta;
+    EXPECT_EQ(*done, block_schedule(sys, 0, eta).completion) << "eta=" << eta;
+    EXPECT_EQ(*done, law.eval(eta)) << "eta=" << eta;
+  }
+}
+
+// Eq. 2's per-sample slope c0 seen in the executed model: once the pipeline
+// has filled, the exit gateway delivers one sample every bottleneck period.
+TEST(CsdfModel, ExitDeliveriesSpacedByBottleneckCost) {
+  const std::int64_t eta = 64;
+  for (const Time entry : {1, 3, 7}) {
+    SharedSystemSpec sys = small_system(entry);
+    sys.chain.accel_cycles_per_sample = {2, 5};
+    const Time c0 = bottleneck_cycles_per_sample(sys.chain);
+    const CsdfStreamModel m =
+        build_csdf_stream_model(sys, 0, ready_input_options(eta));
+    df::SelfTimedExecutor exec(m.graph);
+    std::vector<Time> deliveries;
+    df::ExecObservers obs;
+    obs.on_firing = [&](df::ActorId a, std::int32_t, Time, Time end) {
+      if (a == m.exit) deliveries.push_back(end);
+    };
+    exec.set_observers(obs);
+    ASSERT_TRUE(exec.run_until_firings(m.exit, eta).has_value());
+    ASSERT_EQ(deliveries.size(), static_cast<std::size_t>(eta));
+    const std::size_t fill = sys.chain.num_accelerators() + 2;
+    for (std::size_t k = fill; k + 1 < deliveries.size(); ++k) {
+      EXPECT_EQ(deliveries[k + 1] - deliveries[k], c0)
+          << "entry=" << entry << " sample " << k;
+    }
+    EXPECT_EQ(deliveries.back(), block_schedule(sys, 0, eta).completion);
   }
 }
 

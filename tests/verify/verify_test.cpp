@@ -59,6 +59,23 @@ TEST(VerifyClean, CleanFixtureExploresCleanToItsBudget) {
       << (problems.empty() ? "" : problems.front());
 }
 
+// The lint gate: a configuration with a lint error is never modelled, so
+// the report carries the lint finding and no V rule.
+TEST(VerifyLintGate, LintErrorStopsBeforeExploration) {
+  std::string text = read_fixture("clean.json");
+  const std::string ni = "\"ni_capacity\": 2";
+  ASSERT_NE(text.find(ni), std::string::npos);
+  text.replace(text.find(ni), ni.size(), "\"ni_capacity\": 1");
+  const VerifyResult r =
+      verify_config_json(json::parse_or_throw(text), "ni1.json");
+  EXPECT_FALSE(r.explored);
+  EXPECT_EQ(r.states_explored, 0);
+  EXPECT_TRUE(r.report.has("M07")) << r.report.to_text();
+  EXPECT_FALSE(r.report.clean());
+  for (const char* rule : kVRules) EXPECT_FALSE(r.report.has(rule)) << rule;
+  EXPECT_TRUE(r.counterexample.empty());
+}
+
 // Each mutation fixture raises its mapped rule and ONLY its mapped rule —
 // the 1:1 mapping is what makes the failing fixtures a rule catalog rather
 // than a pile of broken configs.
