@@ -12,6 +12,7 @@
 // buffer and the buffers are printed in submission order, so the output is
 // bit-identical for any --jobs — the same determinism contract as
 // bench_fault_campaign.
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -176,16 +177,11 @@ int main(int argc, char** argv) {
                      std::to_string(cap_min - best_cap) + " samples"};
   };
 
-  if (jobs > 1) {
-    ThreadPool pool(static_cast<std::size_t>(jobs));
-    for (auto& s : scenarios) pool.submit([&s](std::size_t) { s(); });
-    for (std::size_t i = 0; i < sweep.size(); ++i)
-      pool.submit([&run_sweep_point, i](std::size_t) { run_sweep_point(i); });
-    pool.wait_idle();
-  } else {
-    for (auto& s : scenarios) s();
-    for (std::size_t i = 0; i < sweep.size(); ++i) run_sweep_point(i);
-  }
+  ThreadPool pool(static_cast<std::size_t>(std::max(jobs, 1)));
+  for (auto& s : scenarios) pool.submit([&s](std::size_t) { s(); });
+  for (std::size_t i = 0; i < sweep.size(); ++i)
+    pool.submit([&run_sweep_point, i](std::size_t) { run_sweep_point(i); });
+  pool.wait_idle();
 
   for (const std::string& s : sections) std::cout << s;
 

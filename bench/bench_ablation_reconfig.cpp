@@ -13,6 +13,7 @@
 // slot and the table is rendered serially afterwards, so the output is
 // bit-identical for any --jobs — the same determinism contract as
 // bench_fault_campaign.
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -66,14 +67,10 @@ int main(int argc, char** argv) {
                fmt_int(mem)};
   };
 
-  if (jobs > 1) {
-    ThreadPool pool(static_cast<std::size_t>(jobs));
-    for (std::size_t i = 0; i < sweep.size(); ++i)
-      pool.submit([&run_point, i](std::size_t) { run_point(i); });
-    pool.wait_idle();
-  } else {
-    for (std::size_t i = 0; i < sweep.size(); ++i) run_point(i);
-  }
+  ThreadPool pool(static_cast<std::size_t>(std::max(jobs, 1)));
+  for (std::size_t i = 0; i < sweep.size(); ++i)
+    pool.submit([&run_point, i](std::size_t) { run_point(i); });
+  pool.wait_idle();
 
   Table t({"R_s (cycles)", "eta_start", "eta_end", "round gamma (cycles)",
            "round (ms @100MHz)", "min block memory (samples)"});

@@ -98,11 +98,10 @@ int main(int argc, char** argv) {
       ct << obs::chrome_trace_json(trace);
       std::cout << "chrome trace written to " << chrome_path << "\n";
     }
-    if (!report_path.empty()) {
-      std::ofstream rp(report_path);
-      rp << app::pal_run_report_json(ref, r, metrics, &trace);
-      std::cout << "run report written to " << report_path << "\n";
-    }
+    if (!report_path.empty() &&
+        !write_bench_doc(app::pal_run_report(ref, r, metrics, &trace),
+                         validate_run_report, report_path))
+      return 1;
   }
 
   // The campaign's headline claim, also asserted by ctest: delays inside

@@ -1,11 +1,12 @@
 # Fails when a namespace-scope acc:: function of a src/ library has no
 # caller: every such function the library archives define (nm type T) must
 # be named in some file under src/, bench/, examples/ or perfbench/ beyond
-# its own declaration and definition. The symbol-level companion of
-# no_orphans.cmake, which looks at whole headers: a function that only tests
-# call is wired into a real consumer or removed (see ROADMAP.md). Member
-# functions are out of scope. The archives are read rather than
-# CMakeFiles/*.o, where object files of deleted sources stay behind.
+# its own declaration and definition. A name in a // comment is not a
+# caller. The symbol-level companion of no_orphans.cmake, which looks at
+# whole headers: a function that only tests call is wired into a real
+# consumer or removed (see ROADMAP.md). Member functions are out of scope.
+# The archives are read rather than CMakeFiles/*.o, where object files of
+# deleted sources stay behind.
 # Invoked from ctest:
 #   cmake -DNM=<nm> -DROOT=<repo root> -DARCHIVES=<lib.a|lib.a|...>
 #         -P no_orphan_symbols.cmake
@@ -24,6 +25,7 @@ foreach(dir src bench examples perfbench)
        "${ROOT}/${dir}/*.hpp" "${ROOT}/${dir}/*.cpp")
   foreach(file IN LISTS found)
     file(READ "${file}" content)
+    string(REGEX REPLACE "//[^\n]*" "" content "${content}")
     string(APPEND text "\n${content}")
   endforeach()
 endforeach()

@@ -17,6 +17,7 @@
 
 #include "app/pal_report.hpp"
 #include "app/pal_system.hpp"
+#include "common/bench_schema.hpp"
 #include "common/table.hpp"
 #include "lint/linter.hpp"
 #include "obs/chrome_trace.hpp"
@@ -114,11 +115,10 @@ int main(int argc, char** argv) {
     std::cout << "chrome trace written to " << chrome_path
               << " (load in chrome://tracing or ui.perfetto.dev)\n";
   }
-  if (!report_path.empty()) {
-    std::ofstream out(report_path);
-    out << app::pal_run_report_json(cfg, r, metrics, &trace);
-    std::cout << "run report written to " << report_path << "\n";
-  }
+  if (!report_path.empty() &&
+      !write_bench_doc(app::pal_run_report(cfg, r, metrics, &trace),
+                       validate_run_report, report_path))
+    return 1;
 
   // Write the decoded audio so it can actually be listened to.
   const std::string wav = "pal_stereo_decoded.wav";

@@ -404,14 +404,10 @@ ChurnResult run_churn_campaign(const ChurnConfig& cfg) {
   const auto run_one = [&](std::size_t i) {
     res.runs[i] = run_admission_churn(cfg, kinds[i]);
   };
-  if (cfg.jobs > 1) {
-    ThreadPool pool(static_cast<std::size_t>(cfg.jobs));
-    for (std::size_t i = 0; i < res.runs.size(); ++i)
-      pool.submit([&run_one, i](std::size_t) { run_one(i); });
-    pool.wait_idle();
-  } else {
-    for (std::size_t i = 0; i < res.runs.size(); ++i) run_one(i);
-  }
+  ThreadPool pool(static_cast<std::size_t>(std::max(cfg.jobs, 1)));
+  for (std::size_t i = 0; i < res.runs.size(); ++i)
+    pool.submit([&run_one, i](std::size_t) { run_one(i); });
+  pool.wait_idle();
 
   res.equivalent = true;
   const ChurnRunResult& ref = res.runs.back();  // wake-list

@@ -129,14 +129,10 @@ FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& cfg) {
     p.metrics_snapshot = metrics.snapshot_text();
   };
 
-  if (cfg.jobs > 1) {
-    ThreadPool pool(static_cast<std::size_t>(cfg.jobs));
-    for (std::size_t i = 0; i < cfg.levels.size(); ++i)
-      pool.submit([&run_point, i](std::size_t) { run_point(i); });
-    pool.wait_idle();
-  } else {
-    for (std::size_t i = 0; i < cfg.levels.size(); ++i) run_point(i);
-  }
+  ThreadPool pool(static_cast<std::size_t>(std::max(cfg.jobs, 1)));
+  for (std::size_t i = 0; i < cfg.levels.size(); ++i)
+    pool.submit([&run_point, i](std::size_t) { run_point(i); });
+  pool.wait_idle();
   return out;
 }
 

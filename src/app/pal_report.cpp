@@ -59,11 +59,4 @@ json::Value pal_run_report(const PalSimConfig& cfg, const PalSimResult& res,
   return obs::run_report_doc(in, registry, trace);
 }
 
-std::string pal_run_report_json(const PalSimConfig& cfg,
-                                const PalSimResult& res,
-                                const obs::MetricsRegistry& registry,
-                                const sim::TraceLog* trace) {
-  return pal_run_report(cfg, res, registry, trace).pretty() + "\n";
-}
-
 }  // namespace acc::app

@@ -6,8 +6,6 @@
 // byte-reproducible for a fixed configuration (golden-diffed in CI).
 #pragma once
 
-#include <string>
-
 #include "app/pal_system.hpp"
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
@@ -26,11 +24,5 @@ namespace acc::app {
                                          const PalSimResult& res,
                                          const obs::MetricsRegistry& registry,
                                          const sim::TraceLog* trace);
-
-/// pal_run_report rendered as pretty-printed JSON with a trailing newline
-/// (the exact bytes the golden diff pins).
-[[nodiscard]] std::string pal_run_report_json(
-    const PalSimConfig& cfg, const PalSimResult& res,
-    const obs::MetricsRegistry& registry, const sim::TraceLog* trace);
 
 }  // namespace acc::app

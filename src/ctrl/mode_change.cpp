@@ -16,9 +16,9 @@ ModeChangeProtocol::ModeChangeProtocol(const ModeChangeConfig& cfg)
 
 sim::Cycle ModeChangeProtocol::quiesce() {
   const sim::Cycle start = cfg_.sys->now();
-  // Fixed-size chunks, not run_until: every stepper advances through the
-  // identical cycle boundaries and observes the identical resting states,
-  // so the transition point is bit-identical across kDense and kWakeList.
+  // Fixed-size chunks: every stepper advances through the identical cycle
+  // boundaries and observes the identical resting states, so the
+  // transition point is bit-identical across kDense and kWakeList.
   while (!cfg_.entry->is_idle()) {
     ACC_CHECK_MSG(cfg_.sys->now() - start <= cfg_.max_quiesce,
                   "mode change failed to quiesce within budget");

@@ -38,8 +38,7 @@ struct ModeChangeConfig {
   /// The gateway's accelerator chain, in chain order (context targets).
   std::vector<sim::AcceleratorTile*> accels;
   /// Stepper used for the quiesce polling and the R_s programming window.
-  /// Chunked run_with keeps the transition bit-identical across steppers
-  /// (run_until is wake-list-only).
+  /// Chunked run_with keeps the transition bit-identical across steppers.
   sim::StepperKind stepper = sim::StepperKind::kWakeList;
   sim::Cycle quiesce_chunk = 64;
   /// Hard budget on one quiesce (a chain that never drains is a protocol

@@ -23,18 +23,12 @@ std::int64_t Solution::value_int(VarId v) const {
   return static_cast<std::int64_t>(std::llround(values[v]));
 }
 
-VarId Model::add_var(std::string name, double lower, double upper,
-                     bool integer) {
+VarId Model::add_var(double lower, double upper, bool integer) {
   ACC_EXPECTS_MSG(std::isfinite(lower),
                   "variables need a finite lower bound in this solver");
   ACC_EXPECTS(upper >= lower);
-  vars_.push_back(Var{std::move(name), lower, upper, integer});
+  vars_.push_back(Var{lower, upper, integer});
   return static_cast<VarId>(vars_.size() - 1);
-}
-
-const std::string& Model::var_name(VarId v) const {
-  ACC_EXPECTS(v >= 0 && static_cast<std::size_t>(v) < vars_.size());
-  return vars_[v].name;
 }
 
 void Model::add_constraint(const LinExpr& lhs, Rel rel, double rhs) {

@@ -9,7 +9,7 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace acc::ilp {
@@ -65,10 +65,8 @@ struct SolveOptions {
 /// constraints relate linear expressions to constants.
 class Model {
  public:
-  VarId add_var(std::string name, double lower = 0.0, double upper = kInf,
-                bool integer = false);
+  VarId add_var(double lower = 0.0, double upper = kInf, bool integer = false);
   [[nodiscard]] std::size_t num_vars() const { return vars_.size(); }
-  [[nodiscard]] const std::string& var_name(VarId v) const;
 
   void add_constraint(const LinExpr& lhs, Rel rel, double rhs);
   void set_objective(const LinExpr& objective, Sense sense);
@@ -79,7 +77,6 @@ class Model {
 
  private:
   struct Var {
-    std::string name;
     double lower;
     double upper;
     bool integer;

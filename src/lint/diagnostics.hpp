@@ -1,7 +1,7 @@
 // Diagnostics produced by the model linter: rule-tagged, located findings
 // with fix-it hints, renderable as human text or as the machine-readable
-// acc-lint-v1 JSON document (schema pinned by validate_lint_json, in the
-// same golden-schema style as common/bench_schema.hpp).
+// acc-lint-v1 JSON document (schema pinned by the tests' validate_lint_json,
+// in the same golden-schema style as common/bench_schema.hpp).
 #pragma once
 
 #include <string>
@@ -67,7 +67,7 @@ class LintReport {
   /// line per non-suppressed diagnostic plus a summary line.
   [[nodiscard]] std::string to_text() const;
 
-  /// The acc-lint-v1 JSON document (see validate_lint_json).
+  /// The acc-lint-v1 JSON document (docs/static_analysis.md).
   [[nodiscard]] json::Value to_json() const;
 
  private:
@@ -76,12 +76,5 @@ class LintReport {
   std::string config_;
   std::vector<Diagnostic> diags_;
 };
-
-/// Golden schema for the acc-lint-v1 JSON document: key presence and kinds,
-/// severity/rule-ID vocabulary, and the semantic invariant that the summary
-/// counters match the diagnostics array. One problem string per breach;
-/// empty = valid.
-[[nodiscard]] std::vector<std::string> validate_lint_json(
-    const json::Value& doc);
 
 }  // namespace acc::lint

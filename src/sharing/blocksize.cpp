@@ -46,8 +46,7 @@ BlockSizeResult solve_block_sizes_ilp(const SharedSystemSpec& sys) {
   std::vector<ilp::VarId> eta;
   ilp::LinExpr objective;
   for (std::size_t s = 0; s < n; ++s) {
-    eta.push_back(m.add_var("eta_" + sys.streams[s].name, 1.0, ilp::kInf,
-                            /*integer=*/true));
+    eta.push_back(m.add_var(1.0, ilp::kInf, /*integer=*/true));
     objective.add(eta.back(), 1.0);
   }
   m.set_objective(objective, ilp::Sense::kMinimize);

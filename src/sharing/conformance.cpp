@@ -74,6 +74,11 @@ ConformanceReport check_conformance(const SharedSystemSpec& sys,
       for (auto& [v, counts] : since_last)
         if (v != e.value) ++counts[e.value];
     } else if (e.event == "block.done") {
+      ACC_EXPECTS_MSG(
+          e.value >= 0 &&
+              static_cast<std::size_t>(e.value) < sys.num_streams(),
+          "block.done of stream " + std::to_string(e.value) +
+              " outside the spec's streams");
       rep.blocks_checked++;
       const auto it = open_admit.find(e.value);
       if (it == open_admit.end()) {

@@ -46,14 +46,6 @@ class Component {
     (void)to;
   }
 
-  /// Wake-list contract (System::run): true when every input this
-  /// component's next_event() depends on is covered by a wake notification
-  /// (C-FIFO watcher, ring delivery, direct callback), so a cached horizon
-  /// can never go stale-late. Components that cannot promise that return
-  /// false and are re-queried every active cycle instead (exact, slower).
-  /// A mutator that changes the answer must call request_wake().
-  [[nodiscard]] virtual bool wake_list_safe() const { return true; }
-
   /// True when skip_to() replays FROZEN-channel state — state that
   /// snapshot_state() mixes (not just accounting counters), e.g. a budget-
   /// replenishment grid whose phase advances deterministically across a
@@ -111,8 +103,7 @@ class Component {
   /// of registered watchers, by components delivering direct callbacks, and
   /// by every mutator that can lower this component's horizon from outside
   /// its own tick — including between runs, where the cached horizon
-  /// carries over. A wake between runs also makes the System re-read
-  /// wake_list_safe().
+  /// carries over.
   void request_wake() {
     if (hub_ != nullptr) hub_->wake(*this);
   }

@@ -105,13 +105,6 @@ void EntryGateway::set_retry_policy(const GatewayRetryPolicy& policy) {
   request_wake();
 }
 
-void EntryGateway::set_credit_stall_threshold(Cycle threshold) {
-  ACC_EXPECTS(threshold >= 1);
-  credit_stall_threshold_ = threshold;
-  // A starved gateway parked until the old threshold may be due sooner.
-  request_wake();
-}
-
 void EntryGateway::set_metrics(obs::MetricsRegistry* registry) {
   const std::string p = "gateway." + name_;
   m_admissions_ = obs::make_counter(registry, p + ".admissions");
@@ -156,7 +149,7 @@ void EntryGateway::note_credit_stall(Cycle now) {
   }
   ++stats_.credit_stall_cycles;
   if (!credit_stall_traced_ &&
-      now - credit_stall_since_ >= credit_stall_threshold_) {
+      now - credit_stall_since_ >= kCreditStallThreshold) {
     ++stats_.credit_stalls;
     m_credit_stalls_.add();
     credit_stall_traced_ = true;
@@ -386,7 +379,7 @@ Cycle EntryGateway::next_event(Cycle now) const {
         // threshold; past that, only a credit return can wake us.
         if (credit_stall_since_ < 0) return now + 1;
         if (!credit_stall_traced_)
-          return std::max(credit_stall_since_ + credit_stall_threshold_,
+          return std::max(credit_stall_since_ + kCreditStallThreshold,
                           now + 1);
         return kNeverCycle;
       }
@@ -452,7 +445,7 @@ void EntryGateway::snapshot_state(StateHasher& h) const {
   // "not starved" once X expires).
   h.mix(credit_stall_since_ >= 0);
   if (credit_stall_since_ >= 0)
-    h.mix_cycle(credit_stall_since_ + credit_stall_threshold_);
+    h.mix_cycle(credit_stall_since_ + kCreditStallThreshold);
   h.mix(credit_stall_traced_);
   // Always in the past, so the explorer's now-based canonicalization folds
   // it to the expired sentinel (it never influences future behaviour beyond

@@ -166,8 +166,6 @@ class EntryGateway final : public Component {
   void set_fault(FaultInjector* injector) { fault_ = injector; }
   /// Enable notification-timeout recovery (see GatewayRetryPolicy).
   void set_retry_policy(const GatewayRetryPolicy& policy);
-  /// Consecutive credit-starved cycles before a "stall.credit" trace event.
-  void set_credit_stall_threshold(Cycle threshold);
 
   /// Called by the exit-gateway (via its notification latency) when the
   /// last output sample of the active block has been delivered.
@@ -193,6 +191,9 @@ class EntryGateway final : public Component {
 
  private:
   enum class State { kIdle, kReconfig, kStreaming, kDraining };
+
+  /// Consecutive credit-starved cycles before a "stall.credit" trace event.
+  static constexpr Cycle kCreditStallThreshold = 32;
 
   [[nodiscard]] bool admissible(const StreamRoute& r, Cycle now) const;
   void start_draining(Cycle now);
@@ -230,7 +231,6 @@ class EntryGateway final : public Component {
   GatewayRetryPolicy retry_;
   Cycle drain_deadline_ = 0;      // next recovery poll while draining
   int retries_ = 0;               // polls issued for the current block
-  Cycle credit_stall_threshold_ = 32;
   Cycle credit_stall_since_ = -1; // -1 = not currently starved
   bool credit_stall_traced_ = false;
   Cycle idle_since_ = 0;          // cycle the FSM last entered kIdle

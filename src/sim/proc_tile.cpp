@@ -15,26 +15,18 @@ ProcessorTile::ProcessorTile(std::string name, Cycle replenish_period,
 void ProcessorTile::add_task(Task t) {
   ACC_EXPECTS(t.invoke != nullptr);
   ACC_EXPECTS(t.budget >= 1);
+  ACC_EXPECTS_MSG(!t.next_ready || !t.wake_on_push.empty() ||
+                      !t.wake_on_pop.empty(),
+                  "task '" + t.name +
+                      "' has a next_ready hint but no wake_on_push or "
+                      "wake_on_pop C-FIFO");
   budget_left_.push_back(t.budget);
   invocations_.push_back(0);
   // Wake-list contract: the hint's C-FIFO dependencies wake this tile.
   for (CFifo* f : t.wake_on_push) f->add_push_watcher(this);
   for (CFifo* f : t.wake_on_pop) f->add_pop_watcher(this);
   tasks_.push_back(std::move(t));
-  // The new task may be ready at once, and it may make the tile wake-unsafe
-  // (the System re-classifies a tile a between-run wake reaches).
-  request_wake();
-}
-
-bool ProcessorTile::wake_list_safe() const {
-  // A hinted task with no declared wake FIFOs can have its hint
-  // invalidated by a push/pop nobody reports; hint-less tasks are safe
-  // (next_event pins them to the next cycle anyway).
-  for (const Task& t : tasks_) {
-    if (t.next_ready && t.wake_on_push.empty() && t.wake_on_pop.empty())
-      return false;
-  }
-  return true;
+  request_wake();  // the new task may be ready at once
 }
 
 std::int64_t ProcessorTile::invocations(std::size_t task) const {

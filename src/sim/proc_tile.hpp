@@ -49,9 +49,9 @@ struct Task {
   /// Wake-list contract companions to next_ready: EVERY C-FIFO whose fill
   /// the hint reads goes in wake_on_push, every C-FIFO whose space it
   /// reads goes in wake_on_pop (the tile registers as watcher on all of
-  /// them). A hinted task that lists neither marks the tile wake-unsafe,
-  /// and the scheduler falls back to re-querying it every active cycle —
-  /// exact, but it forfeits selective ticking for this tile.
+  /// them). ProcessorTile::add_task rejects a hinted task that lists
+  /// neither: no push or pop would wake its tile, so the hint could go
+  /// stale.
   std::vector<CFifo*> wake_on_push{};
   std::vector<CFifo*> wake_on_pop{};
 };
@@ -80,9 +80,6 @@ class ProcessorTile final : public Component {
   /// Replays the replenishment grid (refills keep their dense-mode phase)
   /// and the running task's busy accounting over a skipped range.
   void skip_to(Cycle from, Cycle to) override;
-  /// Safe for cached horizons only when every hinted task declares the
-  /// C-FIFOs its hint depends on (Task::wake_on_push / wake_on_pop).
-  [[nodiscard]] bool wake_list_safe() const override;
   /// The replenishment grid (budget_left_, next_replenish_) is frozen-
   /// channel state that skip_to replays across a parked window: exempt
   /// from the V05 digest-stability audit (see Component::frozen_skip_replay).

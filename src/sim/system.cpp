@@ -186,8 +186,7 @@ void System::begin_pending(const Mark& old, const Row& row) {
     pending_.space.push_back(space);
   }
   pending_replay_.begin(Replay::Mode::kFirst);
-  if (!unsafe_.empty() || !replay_units(pending_replay_, pending_.row))
-    pending_.period = 0;
+  if (!replay_units(pending_replay_, pending_.row)) pending_.period = 0;
 }
 
 bool System::confirm(const Row& row) {
@@ -258,7 +257,6 @@ Cycle System::jump(Period& per, Cycle end) {
   const Cycle b = now_;
   const Cycle p = per.length;
   Replay& r = per.replay;
-  if (!unsafe_.empty()) return -1;
   for (const auto& e : per.row)
     if (e.first < slots_.size()) settle(e.first, b);
   r.begin(Replay::Mode::kCheck);

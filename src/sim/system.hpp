@@ -43,9 +43,9 @@
 //    the popped samples run through the chain's kernels with
 //    process_block. k stops short of a block's or a source's last sample,
 //    of any slot outside the period, of the run's end and of any C-FIFO
-//    that could fill or run dry; a fault injector, a wake-unsafe slot, a
-//    component without a replay hook or a pop of a chain's output inside
-//    the period vetoes the jump.
+//    that could fill or run dry; a fault injector, a component without a
+//    replay hook or a pop of a chain's output inside the period vetoes the
+//    jump.
 //    See docs/performance.md for the invariants and the equivalence proof
 //    obligations (tests/sim/event_horizon_test.cpp).
 #pragma once
@@ -118,10 +118,12 @@ class System final : public WakeHub {
   }
 
   /// Run for `cycles` clock cycles with the wake-list stepper (cycle-exact
-  /// vs run_dense; see file header).
+  /// vs run_dense; see file header). Cached horizons carry over from the
+  /// previous run: state mutated between runs reaches the calendar through
+  /// the same wakes as state mutated mid-run (rule 1 of the file header).
   void run(Cycle cycles) {
     const Cycle end = now_ + cycles;
-    begin_wake_run();
+    if (!wake_ready_) prepare_wake();
     begin_replay_watch();
     Cycle due = now_;  // the first scan finds the earliest due slot itself
     while (now_ < end) {
@@ -162,34 +164,6 @@ class System final : public WakeHub {
       case StepperKind::kDense: run_dense(cycles); return;
       case StepperKind::kWakeList: run(cycles); return;
     }
-  }
-
-  /// Run until `pred(now)` holds or `max_cycles` elapse; returns true if
-  /// the predicate fired. Uses the wake-list stepper: `pred` must be a
-  /// function of simulation STATE (not of the numeric value of `now`), so
-  /// that its value cannot change across a certified-quiescent range. The
-  /// predicate is evaluated exactly once per loop step — at every stepped
-  /// cycle and at every jump target — with all lazily-synchronized
-  /// accounting settled first.
-  template <typename Pred>
-  bool run_until(Pred&& pred, Cycle max_cycles) {
-    const Cycle end = now_ + max_cycles;
-    begin_wake_run();
-    while (now_ < end) {
-      sync_all(now_);
-      if (pred(now_)) return true;
-      const Cycle due = next_due();
-      if (due > now_) {
-        const Cycle target = std::min(due, end);
-        stats_.skipped_cycles += target - now_;
-        ++stats_.skips;
-        now_ = target;
-        continue;
-      }
-      (void)step_wake_cycle();
-    }
-    sync_all(end);
-    return pred(now_);
   }
 
   [[nodiscard]] Cycle now() const { return now_; }
@@ -233,11 +207,7 @@ class System final : public WakeHub {
     if (!wake_ready_ || replaying_) return;
     // prepare_wake stamped the slot index on the component; only this
     // system installs component hubs, so the index is always ours.
-    const std::size_t idx = c.wake_slot();
-    // A wake outside a cycle scan comes from a mutator between runs, which
-    // may have changed the component's wake-safety (ProcessorTile::add_task).
-    if (!processing_) classify(idx);
-    wake_slot(idx);
+    wake_slot(c.wake_slot());
   }
 
   void ring_activity(Ring& r) override {
@@ -307,8 +277,6 @@ class System final : public WakeHub {
     armed_.assign((n + 2 + kWordBits - 1) / kWordBits, 0);
     for (std::size_t i = 0; i < n + 2; ++i)
       armed_[i / kWordBits] |= slot_bit(i);
-    unsafe_.clear();
-    unsafe_mask_.assign(n, false);
     streaming_.clear();
     for (std::size_t i = 0; i < n; ++i)
       if (components_[i]->streaming()) streaming_.push_back(i);
@@ -323,11 +291,10 @@ class System final : public WakeHub {
     wake_ready_ = true;
   }
 
-  /// Hub, wake-safety class and ring-node route of component slot `i`.
+  /// Hub and ring-node route of component slot `i`.
   void register_slot(std::size_t i) {
     Component* c = components_[i].get();
     c->set_wake_hub(this, i);
-    classify(i);
     const std::int32_t node = c->ring_node();
     if (node >= 0) {
       ACC_CHECK_MSG(node < ring_.data().nodes(),
@@ -358,28 +325,8 @@ class System final : public WakeHub {
     put(i, true);
     put(i + 1, data_armed);
     put(i + 2, credit_armed);
-    unsafe_mask_.push_back(false);
     register_slot(i);
     ++stats_.rearms;
-  }
-
-  /// (Re)classify component slot `idx` as wake-safe or not (see
-  /// Component::wake_list_safe).
-  void classify(std::size_t idx) {
-    const bool unsafe = !components_[idx]->wake_list_safe();
-    if (unsafe == unsafe_mask_[idx]) return;
-    unsafe_mask_[idx] = unsafe;
-    if (unsafe)
-      unsafe_.push_back(idx);
-    else
-      std::erase(unsafe_, idx);
-  }
-
-  /// Entry of every wake-list run. Cached horizons carry over from the
-  /// previous run: state mutated between runs reaches the calendar through
-  /// the same wakes as state mutated mid-run (rule 1 of the file header).
-  void begin_wake_run() {
-    if (!wake_ready_) prepare_wake();
   }
 
   /// Earliest authoritative scheduled cycle, or kNeverCycle when every
@@ -448,20 +395,10 @@ class System final : public WakeHub {
       }
     }
     stats_.calendar_visits += visits;
-    if (!any) {
-      // Stale minimum (a horizon was raised since it was computed): no
-      // slot was due, nothing ticked — report the fresh minimum only.
-      processing_ = false;
-      return min_next;
-    }
-    // Wake-unsafe components are re-queried after every active cycle, so
-    // their hints never go stale.
-    for (const std::size_t idx : unsafe_) {
-      ++stats_.horizon_queries;
-      schedule_horizon(idx, components_[idx]->next_event(t), t + 1);
-      min_next = std::min(min_next, slots_[idx].at);
-    }
     processing_ = false;
+    // Stale minimum (a horizon was raised since it was computed): no slot
+    // was due, nothing ticked — report the fresh minimum only.
+    if (!any) return min_next;
     ++now_;
     ++stats_.dense_ticks;
     return std::min(min_next, wake_floor_min_);
@@ -478,10 +415,6 @@ class System final : public WakeHub {
       s.ran = t;
       ++stats_.component_ticks;
       c.tick(t);
-      if (unsafe_mask_[idx]) {
-        set_at(idx, kNeverCycle);  // re-queried after the cycle completes
-        return;
-      }
       ++stats_.horizon_queries;
       schedule_horizon(idx, c.next_event(t), t + 1);
     } else {
@@ -547,8 +480,7 @@ class System final : public WakeHub {
   }
 
   /// Settle every frozen slot's lazily-deferred accounting through
-  /// `upto - 1` (callers read counters and stats after run()/run_until()
-  /// returns, and predicates read them at evaluation points).
+  /// `upto - 1` (callers read counters and stats after run() returns).
   void sync_all(Cycle upto) {
     stats_.sync_visits += static_cast<std::int64_t>(components_.size());
     for (std::size_t i = 0; i < components_.size(); ++i) {
@@ -637,8 +569,6 @@ class System final : public WakeHub {
   std::vector<Slot> slots_;
   std::vector<std::uint64_t> armed_;     // bit per slot whose at is finite
   std::vector<std::size_t> node_owner_;  // ring node -> component slot
-  std::vector<std::size_t> unsafe_;      // wake-unsafe component slots
-  std::vector<bool> unsafe_mask_;
   bool processing_ = false;        // inside step_wake_cycle
   bool lowered_ = false;           // a wake or requery lowered a slot
   std::size_t processing_pos_ = 0; // slot currently (or last) run this cycle

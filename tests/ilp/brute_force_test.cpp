@@ -79,8 +79,7 @@ TEST(IlpBruteForce, RandomIntegerProgramsMatchExhaustiveSearch) {
     Model m;
     std::vector<VarId> xs;
     for (int j = 0; j < ip.num_vars; ++j)
-      xs.push_back(m.add_var("x" + std::to_string(j), 0,
-                             static_cast<double>(ip.box), /*integer=*/true));
+      xs.push_back(m.add_var(0, static_cast<double>(ip.box), /*integer=*/true));
     for (std::size_t r = 0; r < ip.rows.size(); ++r) {
       LinExpr e;
       for (int j = 0; j < ip.num_vars; ++j) e.add(xs[j], ip.rows[r][j]);

@@ -12,8 +12,8 @@ namespace {
 TEST(Lp, SimpleMaximization) {
   // max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0  -> x=4, y=0, obj 12.
   Model m;
-  const VarId x = m.add_var("x");
-  const VarId y = m.add_var("y");
+  const VarId x = m.add_var();
+  const VarId y = m.add_var();
   m.add_constraint(LinExpr().add(x, 1).add(y, 1), Rel::kLe, 4);
   m.add_constraint(LinExpr().add(x, 1).add(y, 3), Rel::kLe, 6);
   m.set_objective(LinExpr().add(x, 3).add(y, 2), Sense::kMaximize);
@@ -28,8 +28,8 @@ TEST(Lp, MinimizationWithGeConstraints) {
   // min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 1 -> x=9? obj: prefer x
   // (cheaper): x=9, y=1, obj 21.
   Model m;
-  const VarId x = m.add_var("x", 2.0);
-  const VarId y = m.add_var("y", 1.0);
+  const VarId x = m.add_var(2.0);
+  const VarId y = m.add_var(1.0);
   m.add_constraint(LinExpr().add(x, 1).add(y, 1), Rel::kGe, 10);
   m.set_objective(LinExpr().add(x, 2).add(y, 3), Sense::kMinimize);
   const Solution s = m.solve();
@@ -41,8 +41,8 @@ TEST(Lp, MinimizationWithGeConstraints) {
 
 TEST(Lp, EqualityConstraint) {
   Model m;
-  const VarId x = m.add_var("x");
-  const VarId y = m.add_var("y");
+  const VarId x = m.add_var();
+  const VarId y = m.add_var();
   m.add_constraint(LinExpr().add(x, 1).add(y, 1), Rel::kEq, 5);
   m.set_objective(LinExpr().add(x, 1), Sense::kMinimize);
   const Solution s = m.solve();
@@ -53,21 +53,21 @@ TEST(Lp, EqualityConstraint) {
 
 TEST(Lp, InfeasibleDetected) {
   Model m;
-  const VarId x = m.add_var("x", 0.0, 3.0);
+  const VarId x = m.add_var(0.0, 3.0);
   m.add_constraint(LinExpr().add(x, 1), Rel::kGe, 5);
   EXPECT_EQ(m.solve().status, SolveStatus::kInfeasible);
 }
 
 TEST(Lp, UnboundedDetected) {
   Model m;
-  const VarId x = m.add_var("x");
+  const VarId x = m.add_var();
   m.set_objective(LinExpr().add(x, 1), Sense::kMaximize);
   EXPECT_EQ(m.solve().status, SolveStatus::kUnbounded);
 }
 
 TEST(Lp, VariableUpperBoundsHonored) {
   Model m;
-  const VarId x = m.add_var("x", 0.0, 2.5);
+  const VarId x = m.add_var(0.0, 2.5);
   m.set_objective(LinExpr().add(x, 1), Sense::kMaximize);
   const Solution s = m.solve();
   ASSERT_TRUE(s.optimal());
@@ -76,8 +76,8 @@ TEST(Lp, VariableUpperBoundsHonored) {
 
 TEST(Lp, NonZeroLowerBoundsShiftCorrectly) {
   Model m;
-  const VarId x = m.add_var("x", 10.0);
-  const VarId y = m.add_var("y", -5.0, 5.0);
+  const VarId x = m.add_var(10.0);
+  const VarId y = m.add_var(-5.0, 5.0);
   m.add_constraint(LinExpr().add(x, 1).add(y, 1), Rel::kLe, 20);
   m.set_objective(LinExpr().add(x, 1).add(y, 1), Sense::kMaximize);
   const Solution s = m.solve();
@@ -87,7 +87,7 @@ TEST(Lp, NonZeroLowerBoundsShiftCorrectly) {
 
 TEST(Lp, ObjectiveConstantIncluded) {
   Model m;
-  const VarId x = m.add_var("x", 0.0, 1.0);
+  const VarId x = m.add_var(0.0, 1.0);
   m.set_objective(LinExpr(7.0).add(x, 1), Sense::kMaximize);
   const Solution s = m.solve();
   ASSERT_TRUE(s.optimal());
@@ -99,8 +99,8 @@ TEST(Ilp, KnapsackStyleIntegrality) {
   // LP relaxation is fractional; optimum integer solution: a=0,b=2 -> 8 or
   // a=1,b=0 -> 5; best is 8.
   Model m;
-  const VarId a = m.add_var("a", 0, 3, /*integer=*/true);
-  const VarId b = m.add_var("b", 0, 3, /*integer=*/true);
+  const VarId a = m.add_var(0, 3, /*integer=*/true);
+  const VarId b = m.add_var(0, 3, /*integer=*/true);
   m.add_constraint(LinExpr().add(a, 6).add(b, 5), Rel::kLe, 10);
   m.set_objective(LinExpr().add(a, 5).add(b, 4), Sense::kMaximize);
   const Solution s = m.solve();
@@ -114,7 +114,7 @@ TEST(Ilp, RoundingUpIsNotAssumed) {
   // min x s.t. 3x >= 7, x integer  -> x = 3 (not ceil of LP in general, but
   // here B&B must return exactly 3).
   Model m;
-  const VarId x = m.add_var("x", 0, kInf, true);
+  const VarId x = m.add_var(0, kInf, true);
   m.add_constraint(LinExpr().add(x, 3), Rel::kGe, 7);
   m.set_objective(LinExpr().add(x, 1), Sense::kMinimize);
   const Solution s = m.solve();
@@ -127,8 +127,8 @@ TEST(Ilp, MixedIntegerAndContinuous) {
   // c at its max 0.7 => i >= 1.8 => i = 2; obj = 20 + c with c >= 0.5;
   // minimize => c = 0.5, obj 20.5.
   Model m;
-  const VarId i = m.add_var("i", 0, kInf, true);
-  const VarId c = m.add_var("c", 0, 0.7);
+  const VarId i = m.add_var(0, kInf, true);
+  const VarId c = m.add_var(0, 0.7);
   m.add_constraint(LinExpr().add(i, 1).add(c, 1), Rel::kGe, 2.5);
   m.set_objective(LinExpr().add(i, 10).add(c, 1), Sense::kMinimize);
   const Solution s = m.solve();
@@ -140,7 +140,7 @@ TEST(Ilp, MixedIntegerAndContinuous) {
 TEST(Ilp, InfeasibleIntegerBox) {
   // 0.4 <= x <= 0.6 has no integer point.
   Model m;
-  const VarId x = m.add_var("x", 0.4, 0.6, true);
+  const VarId x = m.add_var(0.4, 0.6, true);
   m.set_objective(LinExpr().add(x, 1), Sense::kMinimize);
   EXPECT_EQ(m.solve().status, SolveStatus::kInfeasible);
 }
@@ -148,9 +148,9 @@ TEST(Ilp, InfeasibleIntegerBox) {
 TEST(Ilp, DegenerateConstraintsDoNotCycle) {
   // Classic degenerate LP; Bland's rule must terminate.
   Model m;
-  const VarId x1 = m.add_var("x1");
-  const VarId x2 = m.add_var("x2");
-  const VarId x3 = m.add_var("x3");
+  const VarId x1 = m.add_var();
+  const VarId x2 = m.add_var();
+  const VarId x3 = m.add_var();
   m.add_constraint(LinExpr().add(x1, 0.5).add(x2, -5.5).add(x3, -2.5), Rel::kLe, 0);
   m.add_constraint(LinExpr().add(x1, 0.5).add(x2, -1.5).add(x3, -0.5), Rel::kLe, 0);
   m.add_constraint(LinExpr().add(x1, 1), Rel::kLe, 1);
@@ -164,8 +164,8 @@ TEST(Ilp, DegenerateConstraintsDoNotCycle) {
 
 TEST(Ilp, RedundantEqualitiesHandled) {
   Model m;
-  const VarId x = m.add_var("x");
-  const VarId y = m.add_var("y");
+  const VarId x = m.add_var();
+  const VarId y = m.add_var();
   m.add_constraint(LinExpr().add(x, 1).add(y, 1), Rel::kEq, 4);
   m.add_constraint(LinExpr().add(x, 2).add(y, 2), Rel::kEq, 8);  // redundant
   m.set_objective(LinExpr().add(x, 1), Sense::kMaximize);
@@ -183,7 +183,7 @@ TEST(IlpProperty, RandomCoveringProblemsSatisfyConstraints) {
     const int n = static_cast<int>(rng.uniform(2, 4));
     std::vector<VarId> xs;
     for (int j = 0; j < n; ++j)
-      xs.push_back(m.add_var("x" + std::to_string(j), 0, 50, true));
+      xs.push_back(m.add_var(0, 50, true));
     std::vector<std::vector<double>> rows;
     std::vector<double> rhs;
     const int k = static_cast<int>(rng.uniform(1, 3));

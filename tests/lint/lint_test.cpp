@@ -12,6 +12,8 @@
 
 #include "sim/fault.hpp"
 
+#include "../support/lint_json.hpp"
+
 #ifndef ACC_LINT_FIXTURE_DIR
 #error "build must define ACC_LINT_FIXTURE_DIR"
 #endif

@@ -74,10 +74,11 @@ TEST(RunReport, ByteIdenticalAcrossSteppers) {
   PalRun wake;
   run_small_pal(wake, sim::StepperKind::kWakeList);
   const std::string a =
-      app::pal_run_report_json(dense.cfg, dense.res, dense.metrics,
-                               &dense.trace);
-  std::string b = app::pal_run_report_json(wake.cfg, wake.res, wake.metrics,
-                                           &wake.trace);
+      app::pal_run_report(dense.cfg, dense.res, dense.metrics, &dense.trace)
+          .pretty();
+  std::string b =
+      app::pal_run_report(wake.cfg, wake.res, wake.metrics, &wake.trace)
+          .pretty();
   // The stepper field itself legitimately differs; normalize it away.
   const std::string from = "\"stepper\": \"wake-list\"";
   const std::string to = "\"stepper\": \"dense\"";

@@ -97,6 +97,25 @@ TEST(Conformance, DetectsOrphanCompletion) {
   EXPECT_FALSE(rep.conforms);
 }
 
+TEST(Conformance, RejectsCompletionOfAStreamOutsideTheSpec) {
+  // A stream id the spec does not have must be refused before it indexes
+  // the per-stream block sizes.
+  SharedSystemSpec spec;
+  spec.chain.accel_cycles_per_sample = {1};
+  spec.chain.entry_cycles_per_sample = 2;
+  spec.chain.exit_cycles_per_sample = 1;
+  spec.streams = {{"s0", Rational(1, 16), 20}};
+  const auto past_end = static_cast<std::int64_t>(spec.num_streams());
+  for (const std::int64_t id : {past_end, std::int64_t{-1}}) {
+    SCOPED_TRACE("stream " + std::to_string(id));
+    sim::TraceLog trace;
+    trace.record(0, "gw", "admit", id);
+    trace.record(60, "gw", "block.done", id);
+    EXPECT_THROW((void)check_conformance(spec, {16}, trace),
+                 precondition_error);
+  }
+}
+
 TEST(Conformance, DetectsRoundRobinViolation) {
   SharedSystemSpec spec;
   spec.chain.accel_cycles_per_sample = {1};

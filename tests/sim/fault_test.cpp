@@ -332,7 +332,6 @@ TEST(FaultGateway, CreditStallEpisodesAreDetected) {
                   /*accel_cycles=*/100);
   TraceLog trace;
   ms.entry->set_trace(&trace);
-  ms.entry->set_credit_stall_threshold(64);
   ms.sys.run(32 * 16 + 2 * 32 * 100 + 30000);
   ms.expect_all_delivered(32);
   EXPECT_GT(ms.entry->stats().credit_stalls, 0);

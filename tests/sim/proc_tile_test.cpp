@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "sim/system.hpp"
 
 namespace acc::sim {
@@ -75,6 +76,28 @@ TEST(ProcessorTile, BlockedTaskYieldsToOthers) {
                    50});
   sys.run(400);
   EXPECT_GT(worker, 40);  // got the cycles the blocked task couldn't use
+}
+
+TEST(ProcessorTile, HintedTaskWithoutWakeFifosIsRejected) {
+  // A next_ready hint with no declared wake FIFO could go stale: no push
+  // or pop would wake the tile, so add_task refuses it and keeps its tasks.
+  System sys(2);
+  CFifo& f = sys.add_fifo("f", 8);
+  auto& pt = sys.add<ProcessorTile>("pt", 100);
+  Task t{"pop", [&f](Cycle now) -> Cycle {
+           if (!f.can_pop(now)) return 0;
+           (void)f.pop(now);
+           return 1;
+         },
+         50};
+  t.next_ready = [&f](Cycle now) { return f.when_fill_visible(1, now); };
+  EXPECT_THROW(pt.add_task(t), precondition_error);
+  EXPECT_THROW((void)pt.invocations(0), precondition_error);
+  t.wake_on_push = {&f};
+  pt.add_task(std::move(t));
+  f.push(0, 7);
+  sys.run(10);
+  EXPECT_EQ(pt.invocations(0), 1);
 }
 
 TEST(PriorityBudget, HighPriorityDominatesWhileItHoldsBudget) {

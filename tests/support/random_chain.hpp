@@ -65,7 +65,7 @@ struct Params {
   int payload_blocks = 3;
   bool with_proc = false;    // software copy task between chain and sink
   Cycle proc_cost = 3;
-  bool hint_wake_lists = false;  // declare the copy task's wake FIFOs
+  bool hint_copy = false;    // the copy task has a hint and wake FIFOs
   bool with_fault = false;
   bool with_drops = false;   // notification drops (requires retry recovery)
   std::uint64_t fault_seed = 1;
@@ -88,9 +88,10 @@ inline Params random_params(std::mt19937_64& rng, bool with_fault) {
   p.payload_blocks = pick(2, 4);
   p.with_proc = pick(0, 1) == 1;
   p.proc_cost = pick(1, 4);
-  // Half the processor variants declare wake lists (selective ticking),
-  // half do not (exercises the wake-unsafe re-query fallback).
-  p.hint_wake_lists = pick(0, 1) == 1;
+  // Half the processor variants hint their copy task and declare its wake
+  // FIFOs (selective ticking), half leave it unhinted (the tile ticks
+  // every cycle).
+  p.hint_copy = pick(0, 1) == 1;
   p.with_fault = with_fault;
   p.with_drops = with_fault && pick(0, 1) == 1;
   p.fault_seed = rng();
@@ -173,11 +174,11 @@ struct Scenario {
         f->push(now, m->pop(now));
         return cost;
       };
-      copy.next_ready = [m, f](Cycle now) {
-        return std::max(m->when_fill_visible(1, now),
-                        f->when_space_visible(1, now));
-      };
-      if (p.hint_wake_lists) {
+      if (p.hint_copy) {
+        copy.next_ready = [m, f](Cycle now) {
+          return std::max(m->when_fill_visible(1, now),
+                          f->when_space_visible(1, now));
+        };
         copy.wake_on_push = {m};
         copy.wake_on_pop = {f};
       }

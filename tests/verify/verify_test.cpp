@@ -17,6 +17,7 @@
 #include "verify/model.hpp"
 #include "verify/wake_audit.hpp"
 
+#include "../support/lint_json.hpp"
 #include "../support/random_chain.hpp"
 
 #ifndef ACC_VERIFY_FIXTURE_DIR
