@@ -52,21 +52,24 @@ CQ16 DecimatingFir::filter_now() const {
   // of a wide FPGA accumulator (avoids per-tap quantization noise).
   std::int64_t acc_re = 0;
   std::int64_t acc_im = 0;
-  const auto n = static_cast<std::int32_t>(taps_.size());
-  for (std::int32_t i = 0; i < n; ++i) {
-    // delay_[head_] is the newest sample = x[0]; tap 0 applies to it.
-    const std::int32_t idx = (head_ - i + n) % n;
+  const auto mac = [&](std::size_t i, std::size_t idx) {
     const CQ16& s = delay_[idx];
     const std::int64_t c = taps_[i].raw();
     acc_re += c * s.re.raw();
     acc_im += c * s.im.raw();
-  }
+  };
+  // delay_[head_] is the newest sample = x[0]; tap 0 applies to it. Tap i
+  // reads delay_[head_ - i], wrapping once past index 0.
+  const auto n = taps_.size();
+  const auto head = static_cast<std::size_t>(head_);
+  for (std::size_t i = 0; i <= head; ++i) mac(i, head - i);
+  for (std::size_t i = head + 1; i < n; ++i) mac(i, head + n - i);
   return CQ16{Q16::from_raw(static_cast<std::int32_t>(acc_re >> 16)),
               Q16::from_raw(static_cast<std::int32_t>(acc_im >> 16))};
 }
 
 void DecimatingFir::push(CQ16 in, std::vector<CQ16>& out) {
-  head_ = (head_ + 1) % static_cast<std::int32_t>(delay_.size());
+  if (++head_ == static_cast<std::int32_t>(delay_.size())) head_ = 0;
   delay_[head_] = in;
   if (++phase_ >= decimation_) {
     phase_ = 0;

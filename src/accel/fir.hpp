@@ -29,9 +29,11 @@ class DecimatingFir final : public StreamKernel {
   void push(CQ16 in, std::vector<CQ16>& out) override;
   /// SoA block path: linearizes the circular delay line plus the block into
   /// contiguous per-component arrays, then computes each decimated output
-  /// as a straight dot product against the reversed tap ROM — the form the
-  /// compiler autovectorizes. Bit-identical to push() per sample (see .cpp
-  /// for the no-overflow argument that makes the MAC order-insensitive).
+  /// as a straight dot product against the reversed tap ROM, with no index
+  /// wrapping and only the decimated outputs computed (GCC does not
+  /// vectorize the dot product at -O2). Bit-identical to push() per sample
+  /// (see .cpp for the no-overflow argument that makes the MAC
+  /// order-insensitive).
   std::size_t process_block(std::span<const CQ16> in, std::span<CQ16> out,
                             std::uint8_t* counts = nullptr) override;
   [[nodiscard]] std::vector<std::int32_t> save_state() const override;

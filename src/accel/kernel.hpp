@@ -39,9 +39,11 @@ class StreamKernel {
   /// per-input attribution to replay its per-sample forwarding exactly.
   ///
   /// The default walks push() per sample. Overrides restructure the maths
-  /// into SoA passes over the block (separate real/imaginary/phase arrays,
-  /// branchless inner loops) so the compiler can autovectorize; they must
-  /// preserve per-element operation order bit-for-bit.
+  /// into SoA passes over the block (separate real/imaginary/phase arrays)
+  /// to save the per-sample call and bookkeeping; they must preserve
+  /// per-element operation order bit-for-bit. Only the CORDIC
+  /// micro-rotations are laid out so that GCC vectorizes them at -O2
+  /// (cordic.hpp); the FIR's dot product stays scalar there.
   virtual std::size_t process_block(std::span<const CQ16> in,
                                     std::span<CQ16> out,
                                     std::uint8_t* counts = nullptr);

@@ -41,21 +41,18 @@ std::size_t NcoMixer::process_block(std::span<const CQ16> in,
                                     std::uint8_t* counts) {
   const std::size_t n = in.size();
   ACC_CHECK_MSG(out.size() >= n, "process_block output span too small");
-  std::vector<Q16> xs(n);
-  std::vector<Q16> ys(n);
-  std::vector<Q16> angles(n);
+  CordicScratch& s = scratch_;
+  s.resize(n);
   for (std::size_t e = 0; e < n; ++e) {
     phase_ = static_cast<std::int32_t>(static_cast<std::uint32_t>(phase_) +
                                        static_cast<std::uint32_t>(step_));
-    angles[e] = turns_to_radians(phase_);
-    xs[e] = in[e].re;
-    ys[e] = in[e].im;
+    s.angle[e] = turns_to_radians(phase_);
+    s.x[e] = in[e].re;
+    s.y[e] = in[e].im;
   }
-  std::vector<Q16> ox(n);
-  std::vector<Q16> oy(n);
-  cordic_rotate_block(xs, ys, angles, ox.data(), oy.data());
+  cordic_rotate_block(s.x, s.y, s.angle, s.a.data(), s.b.data());
   for (std::size_t e = 0; e < n; ++e) {
-    out[e] = CQ16{ox[e], oy[e]};
+    out[e] = CQ16{s.a[e], s.b[e]};
     if (counts != nullptr) counts[e] = 1;
   }
   return n;
@@ -92,17 +89,15 @@ std::size_t AmDetector::process_block(std::span<const CQ16> in,
                                       std::uint8_t* counts) {
   const std::size_t n = in.size();
   ACC_CHECK_MSG(out.size() >= n, "process_block output span too small");
-  std::vector<Q16> xs(n);
-  std::vector<Q16> ys(n);
+  CordicScratch& s = scratch_;
+  s.resize(n);
   for (std::size_t e = 0; e < n; ++e) {
-    xs[e] = in[e].re;
-    ys[e] = in[e].im;
+    s.x[e] = in[e].re;
+    s.y[e] = in[e].im;
   }
-  std::vector<Q16> mags(n);
-  std::vector<Q16> angles(n);
-  cordic_vector_block(xs, ys, mags.data(), angles.data());
+  cordic_vector_block(s.x, s.y, s.a.data(), s.b.data());
   for (std::size_t e = 0; e < n; ++e) {
-    const std::int32_t mag = mags[e].raw();
+    const std::int32_t mag = s.a[e].raw();
     dc_raw_ += (mag - dc_raw_) >> dc_shift_;
     out[e] = CQ16{Q16::from_raw(mag - dc_raw_), Q16{}};
     if (counts != nullptr) counts[e] = 1;
@@ -141,20 +136,18 @@ std::size_t FmDiscriminator::process_block(std::span<const CQ16> in,
                                            std::uint8_t* counts) {
   const std::size_t n = in.size();
   ACC_CHECK_MSG(out.size() >= n, "process_block output span too small");
-  std::vector<Q16> dres(n);
-  std::vector<Q16> dims(n);
+  CordicScratch& s = scratch_;
+  s.resize(n);
   // Conjugate products, chained through prev_ exactly as push() would be
   // (saturating Q16 ops, same per-element operation order).
   for (std::size_t e = 0; e < n; ++e) {
-    dres[e] = in[e].re * prev_.re + in[e].im * prev_.im;
-    dims[e] = in[e].im * prev_.re - in[e].re * prev_.im;
+    s.x[e] = in[e].re * prev_.re + in[e].im * prev_.im;
+    s.y[e] = in[e].im * prev_.re - in[e].re * prev_.im;
     prev_ = in[e];
   }
-  std::vector<Q16> mags(n);
-  std::vector<Q16> angles(n);
-  cordic_vector_block(dres, dims, mags.data(), angles.data());
+  cordic_vector_block(s.x, s.y, s.a.data(), s.b.data());
   for (std::size_t e = 0; e < n; ++e) {
-    const double norm = angles[e].to_double() / M_PI;
+    const double norm = s.b[e].to_double() / M_PI;
     out[e] = CQ16{Q16::from_double(norm), Q16{}};
     if (counts != nullptr) counts[e] = 1;
   }

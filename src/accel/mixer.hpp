@@ -6,10 +6,24 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "accel/kernel.hpp"
 
 namespace acc::accel {
+
+/// Structure-of-arrays staging of a CORDIC kernel's block path: the
+/// operands and the two result words per element. Reused across calls, so
+/// a block allocates nothing once the arrays have grown to its size; not
+/// kernel state (save_state ignores it).
+struct CordicScratch {
+  std::vector<Q16> x, y, angle;  // operands (angle: rotation mode only)
+  std::vector<Q16> a, b;         // results: (x, y) or (magnitude, angle)
+
+  void resize(std::size_t n) {
+    for (std::vector<Q16>* v : {&x, &y, &angle, &a, &b}) v->resize(n);
+  }
+};
 
 class NcoMixer final : public StreamKernel {
  public:
@@ -24,7 +38,7 @@ class NcoMixer final : public StreamKernel {
 
   void push(CQ16 in, std::vector<CQ16>& out) override;
   /// Block path: precompute the wrapped phase sequence (element-local
-  /// int32 adds), then one SoA block rotation. Bit-identical to push().
+  /// int32 adds), then one block rotation. Bit-identical to push().
   std::size_t process_block(std::span<const CQ16> in, std::span<CQ16> out,
                             std::uint8_t* counts = nullptr) override;
   [[nodiscard]] std::vector<std::int32_t> save_state() const override;
@@ -40,6 +54,7 @@ class NcoMixer final : public StreamKernel {
   std::int32_t step_;  // static configuration
   std::string name_;
   std::int32_t phase_ = 0;  // mutable state: Q32 turns, wraps naturally
+  CordicScratch scratch_;
 };
 
 /// CORDIC AM envelope detector: outputs |x[n]| minus a tracked DC estimate,
@@ -56,7 +71,7 @@ class AmDetector final : public StreamKernel {
   explicit AmDetector(int dc_shift = 6, std::string name = "amdet");
 
   void push(CQ16 in, std::vector<CQ16>& out) override;
-  /// Block path: one SoA block vectoring pass, then the (inherently
+  /// Block path: one block vectoring pass, then the (inherently
   /// sequential, but cheap) DC-tracker recurrence. Bit-identical to push().
   std::size_t process_block(std::span<const CQ16> in, std::span<CQ16> out,
                             std::uint8_t* counts = nullptr) override;
@@ -73,6 +88,7 @@ class AmDetector final : public StreamKernel {
   int dc_shift_;
   std::string name_;
   std::int32_t dc_raw_ = 0;  // mutable state: tracked DC (Q16 raw)
+  CordicScratch scratch_;
 };
 
 /// CORDIC FM discriminator: outputs the per-sample phase increment of the
@@ -86,8 +102,8 @@ class FmDiscriminator final : public StreamKernel {
 
   void push(CQ16 in, std::vector<CQ16>& out) override;
   /// Block path: the prev_-chained conjugate products run as an
-  /// element-local sequential pass, then one SoA block vectoring pass and
-  /// the normalization epilogue. Bit-identical to push().
+  /// element-local sequential pass, then one block vectoring pass and the
+  /// normalization epilogue. Bit-identical to push().
   std::size_t process_block(std::span<const CQ16> in, std::span<CQ16> out,
                             std::uint8_t* counts = nullptr) override;
   [[nodiscard]] std::vector<std::int32_t> save_state() const override;
@@ -102,6 +118,7 @@ class FmDiscriminator final : public StreamKernel {
  private:
   std::string name_;
   CQ16 prev_{};  // mutable state
+  CordicScratch scratch_;
 };
 
 }  // namespace acc::accel

@@ -58,6 +58,8 @@ json::Object run_to_json(const SimBenchRun& r) {
   o["sync_visits"] = r.sync_visits;
   o["replays"] = r.replays;
   o["replayed_cycles"] = r.replayed_cycles;
+  o["replay_boundaries"] = r.replay_boundaries;
+  o["period_checks"] = r.period_checks;
   o["sink_samples"] = r.sink_samples;
   o["source_drops"] = r.source_drops;
   o["sink_underruns"] = r.sink_underruns;
@@ -106,6 +108,8 @@ SimBenchRun sim_bench_run(const PalSimConfig& pal, sim::StepperKind kind) {
   r.sync_visits = res.stepper.sync_visits;
   r.replays = res.stepper.replays;
   r.replayed_cycles = res.stepper.replayed_cycles;
+  r.replay_boundaries = res.stepper.replay_boundaries;
+  r.period_checks = res.stepper.period_checks;
   r.sink_samples = static_cast<std::int64_t>(res.left.size() +
                                              res.right.size());
   r.source_drops = res.source_drops;

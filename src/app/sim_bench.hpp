@@ -42,9 +42,13 @@ struct SimBenchRun {
   std::int64_t calendar_visits = 0;
   std::int64_t rearms = 0;
   std::int64_t sync_visits = 0;
-  // Steady-state replay (zero under dense): jumps and the cycles they cover.
+  // Steady-state replay (zero under dense): jumps and the cycles they
+  // cover, and the search's work: boundaries examined and confirmed-period
+  // comparisons made there.
   std::int64_t replays = 0;
   std::int64_t replayed_cycles = 0;
+  std::int64_t replay_boundaries = 0;
+  std::int64_t period_checks = 0;
   // Outcome digest.
   std::int64_t sink_samples = 0;
   std::int64_t source_drops = 0;

@@ -180,6 +180,8 @@ std::vector<std::string> validate_bench_sim(const json::Value& doc) {
                    {"sync_visits", Kind::kInt},
                    {"replays", Kind::kInt},
                    {"replayed_cycles", Kind::kInt},
+                   {"replay_boundaries", Kind::kInt},
+                   {"period_checks", Kind::kInt},
                    {"sink_samples", Kind::kInt},
                    {"source_drops", Kind::kInt},
                    {"sink_underruns", Kind::kInt},

@@ -98,13 +98,6 @@ void Graph::set_actor_duration(ActorId a, Time duration) {
   actors_[a].phase_durations[0] = duration;
 }
 
-ActorId Graph::find_actor(const std::string& name) const {
-  const auto it = std::find_if(actors_.begin(), actors_.end(),
-                               [&](const Actor& a) { return a.name == name; });
-  if (it == actors_.end()) return kInvalidActor;
-  return static_cast<ActorId>(it - actors_.begin());
-}
-
 void Graph::validate() const {
   for (const Edge& e : edges_) {
     ACC_CHECK(e.src >= 0 && static_cast<std::size_t>(e.src) < actors_.size());

@@ -129,9 +129,6 @@ class Graph {
     return out_edges_[a];
   }
 
-  /// Find an actor by name; kInvalidActor if absent.
-  [[nodiscard]] ActorId find_actor(const std::string& name) const;
-
   /// Structural validation: endpoint ids valid, quanta arity matches phase
   /// counts, non-negative quanta and tokens. Throws on violation.
   void validate() const;

@@ -1,6 +1,9 @@
 // Base class for cycle-stepped simulator components.
 #pragma once
 
+#include <cstdint>
+#include <optional>
+
 #include "sim/replay.hpp"
 #include "sim/ring.hpp"
 #include "sim/state_hash.hpp"
@@ -75,10 +78,14 @@ class Component {
     (void)f;
     (void)v;
   }
-  /// True while this component streams a block whose periods may repeat
-  /// (an entry gateway in its streaming state, with epsilon above the
-  /// chain's per-sample latency): System::run looks for periods only then.
-  [[nodiscard]] virtual bool streaming() const { return false; }
+  /// The stream whose block this component streams while its periods may
+  /// repeat (an entry gateway in its streaming state, with epsilon above
+  /// the chain's per-sample latency), otherwise nullopt. System::run looks
+  /// for periods only while some component streams, and keeps its search
+  /// per route: the set of (slot, stream) pairs streaming.
+  [[nodiscard]] virtual std::optional<std::int64_t> streaming() const {
+    return std::nullopt;
+  }
   /// True when this component — for an entry gateway, its whole chain —
   /// holds no data payload outside C-FIFOs and kernel state.
   [[nodiscard]] virtual bool payload_free() const { return true; }

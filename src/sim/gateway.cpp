@@ -125,7 +125,8 @@ void EntryGateway::set_metrics(obs::MetricsRegistry* registry) {
 
 void EntryGateway::enter_streaming() {
   state_ = State::kStreaming;
-  if (hub_ != nullptr && streaming()) hub_->streaming(*this, true);
+  if (hub_ == nullptr) return;
+  if (const auto stream = streaming()) hub_->streaming(*this, stream);
 }
 
 Cycle EntryGateway::sample_latency() const {
@@ -136,7 +137,7 @@ Cycle EntryGateway::sample_latency() const {
 
 void EntryGateway::start_draining(Cycle now) {
   state_ = State::kDraining;
-  if (hub_ != nullptr) hub_->streaming(*this, false);
+  if (hub_ != nullptr) hub_->streaming(*this, std::nullopt);
   retries_ = 0;
   drain_deadline_ =
       retry_.notify_timeout > 0 ? now + retry_.notify_timeout : 0;

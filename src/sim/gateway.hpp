@@ -140,12 +140,14 @@ class EntryGateway final : public Component {
   /// kernels (replay_output hands the results to the exit-gateway).
   bool replay(Replay& r) override;
   void replay_consume(const CFifo& f, Flit v) override;
-  /// Streaming a block whose samples can leave the chain before the next
-  /// one enters (epsilon above sample_latency()). Otherwise consecutive
-  /// samples overlap in the chain, a payload-free boundary is rare, and
-  /// System::run does not look for periods.
-  [[nodiscard]] bool streaming() const override {
-    return state_ == State::kStreaming && epsilon_ > sample_latency();
+  /// The active stream, while streaming a block whose samples can leave
+  /// the chain before the next one enters (epsilon above sample_latency()).
+  /// Otherwise consecutive samples overlap in the chain, a payload-free
+  /// boundary is rare, and System::run does not look for periods.
+  [[nodiscard]] std::optional<std::int64_t> streaming() const override {
+    if (state_ != State::kStreaming || epsilon_ <= sample_latency())
+      return std::nullopt;
+    return streams_[active_].id;
   }
   /// Lower bound on the cycles a sample that reaches the exit spends in the
   /// chain: every tile's processing time plus the exit's DMA.

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 namespace acc::sim {
 
@@ -45,11 +46,12 @@ class WakeHub {
   /// FaultInjector::next_eligible(site) may have shifted (either way).
   virtual void fault_site_changed(FaultSite site) = 0;
 
-  /// `c` started (`on`) or stopped streaming a block (see
-  /// Component::streaming): the steady-state replay watches only then.
-  virtual void streaming(Component& c, bool on) {
+  /// `c` started streaming a block of `stream`, or stopped (nullopt; see
+  /// Component::streaming): the steady-state replay watches only then,
+  /// with one period search per set of streaming (component, stream).
+  virtual void streaming(Component& c, std::optional<std::int64_t> stream) {
     (void)c;
-    (void)on;
+    (void)stream;
   }
 };
 

@@ -214,5 +214,73 @@ TEST(KernelBlock, CordicVectorBlockMatchesScalar) {
   }
 }
 
+/// Both block primitives against the scalar calls, element by element,
+/// on one block of operands (rotation by `as`, vectoring of (xs, ys)).
+void expect_blocks_match_scalar(const std::vector<Q16>& xs,
+                                const std::vector<Q16>& ys,
+                                const std::vector<Q16>& as) {
+  std::vector<Q16> ox(xs.size());
+  std::vector<Q16> oy(xs.size());
+  cordic_rotate_block(xs, ys, as, ox.data(), oy.data());
+  std::vector<Q16> mag(xs.size());
+  std::vector<Q16> ang(xs.size());
+  cordic_vector_block(xs, ys, mag.data(), ang.data());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const RotateResult rot = cordic_rotate(xs[i], ys[i], as[i]);
+    EXPECT_EQ(ox[i].raw(), rot.x.raw()) << "rotate x, element " << i;
+    EXPECT_EQ(oy[i].raw(), rot.y.raw()) << "rotate y, element " << i;
+    const VectorResult vec = cordic_vector(xs[i], ys[i]);
+    EXPECT_EQ(mag[i].raw(), vec.magnitude.raw()) << "magnitude, element " << i;
+    EXPECT_EQ(ang[i].raw(), vec.angle.raw()) << "angle, element " << i;
+  }
+}
+
+/// The block paths run on int32 lanes while every |x| and |y| of a block
+/// is below 2^29. Operands at the edge, 2^29 - 1 in every sign
+/// combination (and with one axis at 0), across the whole angle range:
+/// the largest intermediates the int32 lanes ever hold.
+TEST(KernelBlock, CordicLargestInt32LaneOperandsMatchScalar) {
+  constexpr std::int32_t kEdge = (1 << 29) - 1;
+  std::vector<Q16> xs;
+  std::vector<Q16> ys;
+  std::vector<Q16> as;
+  const std::int32_t pi = q16_pi().raw();
+  for (std::int32_t x : {kEdge, -kEdge, std::int32_t{0}})
+    for (std::int32_t y : {kEdge, -kEdge, std::int32_t{0}})
+      for (std::int32_t step = 0; step <= 16; ++step) {
+        xs.push_back(Q16::from_raw(x));
+        ys.push_back(Q16::from_raw(y));
+        as.push_back(Q16::from_raw(-pi + step * pi / 8));
+      }
+  expect_blocks_match_scalar(xs, ys, as);
+}
+
+/// A single operand at or beyond 2^29 sends its whole block to int64
+/// lanes; the rest of the block holds the largest int32-lane operands.
+/// 2^30 - 1 on both axes overflows int32 in both modes, so a guard raised
+/// that far fails here.
+TEST(KernelBlock, CordicBlocksWithOneWideOperandMatchScalar) {
+  constexpr std::int32_t kEdge = (1 << 29) - 1;
+  const std::int32_t pi = q16_pi().raw();
+  for (const std::int32_t wide :
+       {std::int32_t{1} << 29, -(std::int32_t{1} << 29), (1 << 30) - 1,
+        -((1 << 30) - 1), kI32Min, kI32Max}) {
+    for (std::int32_t angle = -pi; angle <= pi; angle += pi / 4) {
+      // Eleven elements, two chunks; the wide one sits in the second.
+      std::vector<Q16> xs(11, Q16::from_raw(kEdge));
+      std::vector<Q16> ys(11, Q16::from_raw(-kEdge));
+      std::vector<Q16> as;
+      for (std::int32_t e = 0; e < 11; ++e)
+        as.push_back(Q16::from_raw(angle + (e - 5) * (pi / 16)));
+      xs[9] = Q16::from_raw(wide);
+      ys[9] = Q16::from_raw(wide);
+      SCOPED_TRACE(testing::Message() << "wide " << wide << " angle " << angle);
+      expect_blocks_match_scalar(xs, ys, as);
+      ys[9] = Q16::from_raw(kEdge);  // wide on one axis only
+      expect_blocks_match_scalar(xs, ys, as);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace acc::accel

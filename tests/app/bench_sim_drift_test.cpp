@@ -24,12 +24,13 @@ namespace {
 
 /// Per-run fields that depend only on the simulation.
 constexpr const char* kDeterministicFields[] = {
-    "cycles",          "dense_ticks",     "skips",
-    "skipped_cycles",  "component_ticks", "horizon_queries",
-    "wakes",           "calendar_visits", "rearms",
-    "sync_visits",     "replays",         "replayed_cycles",
-    "sink_samples",    "source_drops",    "sink_underruns",
-    "blocks",          "audio_checksum"};
+    "cycles",           "dense_ticks",       "skips",
+    "skipped_cycles",   "component_ticks",   "horizon_queries",
+    "wakes",            "calendar_visits",   "rearms",
+    "sync_visits",      "replays",           "replayed_cycles",
+    "replay_boundaries", "period_checks",    "sink_samples",
+    "source_drops",     "sink_underruns",    "blocks",
+    "audio_checksum"};
 
 constexpr const char* kRegenerate =
     " — if the change is intended, regenerate " ACC_BENCH_SIM_JSON

@@ -14,13 +14,19 @@ namespace {
 
 // A(2) -> B(3) with the return edge holding one token: the classic two-actor
 // cycle with period 5.
-Graph two_actor_cycle() {
+struct TwoActorCycle {
   Graph g;
-  const ActorId a = g.add_sdf_actor("A", 2);
-  const ActorId b = g.add_sdf_actor("B", 3);
-  g.add_sdf_edge(a, b, 1, 1, 0);
-  g.add_sdf_edge(b, a, 1, 1, 1);
-  return g;
+  ActorId a;
+  ActorId b;
+};
+
+TwoActorCycle two_actor_cycle() {
+  TwoActorCycle c;
+  c.a = c.g.add_sdf_actor("A", 2);
+  c.b = c.g.add_sdf_actor("B", 3);
+  c.g.add_sdf_edge(c.a, c.b, 1, 1, 0);
+  c.g.add_sdf_edge(c.b, c.a, 1, 1, 1);
+  return c;
 }
 
 /// Completion times of the first `count` firings of `actor`, read from the
@@ -40,27 +46,27 @@ std::vector<Time> completion_times(SelfTimedExecutor& exec, ActorId actor,
 }
 
 TEST(Executor, TwoActorCycleSchedule) {
-  Graph g = two_actor_cycle();
-  SelfTimedExecutor exec(g);
-  const auto t = exec.run_until_firings(g.find_actor("B"), 2);
+  const TwoActorCycle c = two_actor_cycle();
+  SelfTimedExecutor exec(c.g);
+  const auto t = exec.run_until_firings(c.b, 2);
   ASSERT_TRUE(t.has_value());
   // A: [0,2], B: [2,5], A: [5,7], B: [7,10].
   EXPECT_EQ(*t, 10);
 }
 
 TEST(Executor, TwoActorCycleThroughput) {
-  Graph g = two_actor_cycle();
-  SelfTimedExecutor exec(g);
-  const ThroughputResult r = exec.analyze_throughput(g.find_actor("A"));
+  const TwoActorCycle c = two_actor_cycle();
+  SelfTimedExecutor exec(c.g);
+  const ThroughputResult r = exec.analyze_throughput(c.a);
   ASSERT_FALSE(r.deadlocked);
   EXPECT_EQ(r.throughput, Rational(1, 5));
 }
 
 TEST(Executor, CompletionTimesAreMonotone) {
-  Graph g = two_actor_cycle();
-  SelfTimedExecutor exec(g);
+  const TwoActorCycle c = two_actor_cycle();
+  SelfTimedExecutor exec(c.g);
   const std::vector<Time> times =
-      completion_times(exec, g.find_actor("A"), 4);
+      completion_times(exec, c.a, 4);
   ASSERT_EQ(times.size(), 4u);
   EXPECT_EQ(times[0], 2);
   EXPECT_EQ(times[1], 7);
@@ -209,55 +215,55 @@ TEST(Executor, DeadlockAfterPartialProgress) {
 }
 
 TEST(Executor, LiveCycleNeverDeadlocks) {
-  Graph g = two_actor_cycle();
-  SelfTimedExecutor exec(g);
-  const auto t = exec.run_until_firings(g.find_actor("B"), 200);
+  const TwoActorCycle c = two_actor_cycle();
+  SelfTimedExecutor exec(c.g);
+  const auto t = exec.run_until_firings(c.b, 200);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(*t, 200 * 5);
-  const ThroughputResult r = exec.analyze_throughput(g.find_actor("A"));
+  const ThroughputResult r = exec.analyze_throughput(c.a);
   EXPECT_FALSE(r.deadlocked);
   EXPECT_EQ(r.throughput, Rational(1, 5));
 }
 
 TEST(Executor, RunUntilFiringsStopsAtTheCountedCompletion) {
-  Graph g = two_actor_cycle();
-  SelfTimedExecutor exec(g);
+  const TwoActorCycle c = two_actor_cycle();
+  SelfTimedExecutor exec(c.g);
   // Completions A@2, B@5, A@7, B@10: the run stops at A's second one, and
   // B's completion at t=10 must not run.
-  const auto t = exec.run_until_firings(0, 2);
+  const auto t = exec.run_until_firings(c.a, 2);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(*t, 7);
   EXPECT_EQ(exec.now(), 7);
-  EXPECT_EQ(exec.completed_firings(0), 2);
-  EXPECT_EQ(exec.completed_firings(1), 1);
+  EXPECT_EQ(exec.completed_firings(c.a), 2);
+  EXPECT_EQ(exec.completed_firings(c.b), 1);
   // A later call resumes from there rather than starting over.
-  const auto resumed = exec.run_until_firings(1, 2);
+  const auto resumed = exec.run_until_firings(c.b, 2);
   ASSERT_TRUE(resumed.has_value());
   EXPECT_EQ(*resumed, 10);
 }
 
 TEST(Executor, ResetRestoresInitialState) {
-  Graph g = two_actor_cycle();
-  SelfTimedExecutor exec(g);
-  ASSERT_TRUE(exec.run_until_firings(0, 3).has_value());
+  const TwoActorCycle c = two_actor_cycle();
+  SelfTimedExecutor exec(c.g);
+  ASSERT_TRUE(exec.run_until_firings(c.a, 3).has_value());
   exec.reset();
   EXPECT_EQ(exec.now(), 0);
-  EXPECT_EQ(exec.completed_firings(0), 0);
-  const auto t = exec.run_until_firings(0, 1);
+  EXPECT_EQ(exec.completed_firings(c.a), 0);
+  const auto t = exec.run_until_firings(c.a, 1);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(*t, 2);
 }
 
 TEST(Executor, ObserverSeesFiringsAndProductions) {
-  Graph g = two_actor_cycle();
-  SelfTimedExecutor exec(g);
+  const TwoActorCycle c = two_actor_cycle();
+  SelfTimedExecutor exec(c.g);
   int firings = 0;
   int produces = 0;
   ExecObservers obs;
   obs.on_firing = [&](ActorId, std::int32_t, Time, Time) { ++firings; };
   obs.on_produce = [&](EdgeId, std::int64_t, Time) { ++produces; };
   exec.set_observers(obs);
-  ASSERT_TRUE(exec.run_until_firings(1, 2).has_value());
+  ASSERT_TRUE(exec.run_until_firings(c.b, 2).has_value());
   // When B's 2nd completion lands, its back-token immediately lets A start a
   // 3rd firing within the same step: 5 starts, 4 completed productions.
   EXPECT_EQ(firings, 5);

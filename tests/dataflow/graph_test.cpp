@@ -91,14 +91,6 @@ TEST(Graph, ChannelCapacityBelowFillThrows) {
   EXPECT_THROW(g.set_channel_capacity(ch, 1), precondition_error);
 }
 
-TEST(Graph, FindActorByName) {
-  Graph g;
-  g.add_sdf_actor("source", 1);
-  const ActorId b = g.add_sdf_actor("sink", 1);
-  EXPECT_EQ(g.find_actor("sink"), b);
-  EXPECT_EQ(g.find_actor("absent"), kInvalidActor);
-}
-
 TEST(Graph, ValidateRejectsAllZeroQuanta) {
   Graph g;
   const ActorId a = g.add_actor("A", {1, 1});

@@ -105,7 +105,8 @@ TEST(BenchSchema, SimDocDetectsMissingWakeCounters) {
   // golden schema: dropping any of it is a breach.
   for (const char* key : {"component_ticks", "horizon_queries", "wakes",
                           "calendar_visits", "rearms", "sync_visits",
-                          "replays", "replayed_cycles"}) {
+                          "replays", "replayed_cycles",
+                          "replay_boundaries", "period_checks"}) {
     json::Value doc = small_sim_doc();
     doc.as_object()["runs"].as_array()[1].as_object().erase(key);
     const std::vector<std::string> problems = validate_bench_sim(doc);
