@@ -154,6 +154,7 @@ struct LineParams {
   Cycle jitter = 0;
   Cycle cycles = 0;  // 0: until the source is done, plus a drain
   bool plain_decimator = false;  // PlainDecimator instead of the FIR
+  int streams = 1;  // each with its own source, sink and C-FIFOs
 };
 
 struct Line {
@@ -165,44 +166,51 @@ struct Line {
     cfg.trace = &trace;
     cfg.metrics = &metrics;
     chain = build_gateway_chain(sys, cfg);
-    in = &sys.add_fifo("in", p.in_capacity > 0 ? p.in_capacity : 4 * p.eta);
     const std::int64_t outputs =
         static_cast<std::int64_t>(p.samples) / p.decimation;
-    out = &sys.add_fifo("out", outputs + 64);
-    in->set_metrics(&metrics);
-    out->set_metrics(&metrics);
-    std::vector<std::unique_ptr<accel::StreamKernel>> kernels;
-    kernels.push_back(std::make_unique<accel::NcoMixer>(
-        accel::NcoMixer::freq_from_normalized(-0.2)));
-    if (p.plain_decimator)
-      kernels.push_back(std::make_unique<PlainDecimator>(p.decimation));
-    else
-      kernels.push_back(std::make_unique<accel::DecimatingFir>(
-          accel::quantize_taps(accel::design_lowpass(33, 0.06)),
-          p.decimation));
-    chain.add_stream({0, "s", p.eta, p.eta / p.decimation, in, out, 400},
-                     std::move(kernels));
-    std::vector<Flit> samples(p.samples);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const double x = 0.7 * std::sin(0.37 * static_cast<double>(i));
-      const double y = 0.5 * std::cos(0.11 * static_cast<double>(i));
-      samples[i] = pack_sample(CQ16{Q16::from_double(x), Q16::from_double(y)});
+    for (int s = 0; s < p.streams; ++s) {
+      const std::string id = std::to_string(s);
+      CFifo& in = sys.add_fifo(
+          "in" + id, p.in_capacity > 0 ? p.in_capacity : 4 * p.eta);
+      CFifo& out = sys.add_fifo("out" + id, outputs + 64);
+      in.set_metrics(&metrics);
+      out.set_metrics(&metrics);
+      std::vector<std::unique_ptr<accel::StreamKernel>> kernels;
+      kernels.push_back(std::make_unique<accel::NcoMixer>(
+          accel::NcoMixer::freq_from_normalized(-0.2)));
+      if (p.plain_decimator)
+        kernels.push_back(std::make_unique<PlainDecimator>(p.decimation));
+      else
+        kernels.push_back(std::make_unique<accel::DecimatingFir>(
+            accel::quantize_taps(accel::design_lowpass(33, 0.06)),
+            p.decimation));
+      chain.add_stream({s, "s" + id, p.eta, p.eta / p.decimation, &in, &out,
+                        400},
+                       std::move(kernels));
+      std::vector<Flit> samples(p.samples);
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        const double x = 0.7 * std::sin(0.37 * static_cast<double>(i + s));
+        const double y = 0.5 * std::cos(0.11 * static_cast<double>(i));
+        samples[i] =
+            pack_sample(CQ16{Q16::from_double(x), Q16::from_double(y)});
+      }
+      SourceTile& src =
+          sys.add<SourceTile>("src" + id, in, samples, p.source_period);
+      if (p.jitter > 0) src.set_jitter(p.jitter, 7);
+      SinkTile& sink = sys.add<SinkTile>("snk" + id, out, p.sink_period, 1);
+      src.set_metrics(&metrics);
+      sink.set_metrics(&metrics);
+      srcs.push_back(&src);
+      sinks.push_back(&sink);
     }
-    src = &sys.add<SourceTile>("src", *in, samples, p.source_period);
-    if (p.jitter > 0) src->set_jitter(p.jitter, 7);
-    sink = &sys.add<SinkTile>("snk", *out, p.sink_period, 1);
-    src->set_metrics(&metrics);
-    sink->set_metrics(&metrics);
   }
 
   System sys;
   TraceLog trace;
   obs::MetricsRegistry metrics;
   GatewayChain chain;
-  CFifo* in = nullptr;
-  CFifo* out = nullptr;
-  SourceTile* src = nullptr;
-  SinkTile* sink = nullptr;
+  std::vector<SourceTile*> srcs;  // per stream
+  std::vector<SinkTile*> sinks;
 };
 
 struct LineOutcome {
@@ -227,9 +235,13 @@ LineOutcome run_line(const LineParams& p, StepperKind kind, Cycle chunk) {
   }
   o.metrics = line.metrics.snapshot_text();
   o.trace = line.trace.to_csv();
-  o.received = line.sink->received();
-  o.stamps = line.sink->timestamps();
-  o.dropped = line.src->dropped();
+  for (const SinkTile* sink : line.sinks) {
+    o.received.insert(o.received.end(), sink->received().begin(),
+                      sink->received().end());
+    o.stamps.insert(o.stamps.end(), sink->timestamps().begin(),
+                    sink->timestamps().end());
+  }
+  for (const SourceTile* src : line.srcs) o.dropped += src->dropped();
   o.stats = line.sys.stepper_stats();
   return o;
 }
@@ -303,6 +315,32 @@ TEST(SteadyReplay, SourceFifoFillsMidBlock) {
   expect_same_line(dense, wake);
   EXPECT_GT(wake.dropped, 0);
   EXPECT_GT(wake.stats.replays, 0);
+}
+
+TEST(SteadyReplay, RoutesUpToTheCapKeepTheirPeriods) {
+  // The streams take turns on one chain, each a route of its own. System
+  // keeps 32 routes: with 17 every route keeps its confirmed period from
+  // one of its blocks to the next, so most boundaries check one. With 33
+  // every new route evicts the least recently entered one, each route is
+  // gone before it recurs, and its blocks search afresh.
+  for (const int streams : {17, 33}) {
+    SCOPED_TRACE(std::to_string(streams) + " streams");
+    LineParams p;
+    p.streams = streams;
+    p.eta = 64;
+    p.samples = 4 * 64;
+    p.cycles = streams * 4 * 1500 + 40000;
+    const LineOutcome dense = run_line(p, StepperKind::kDense, 1 << 20);
+    const LineOutcome wake = run_line(p, StepperKind::kWakeList, 1 << 20);
+    expect_same_line(dense, wake);
+    EXPECT_EQ(wake.received.size(),
+              static_cast<std::size_t>(streams) * 4 * 64 / 8);
+    EXPECT_GT(wake.stats.replays, 0);
+    if (streams <= 32)
+      EXPECT_GT(wake.stats.period_checks, wake.stats.replay_boundaries / 2);
+    else
+      EXPECT_LT(wake.stats.period_checks, wake.stats.replay_boundaries / 4);
+  }
 }
 
 // --- Seeded random chains with long blocks ---------------------------------
