@@ -7,9 +7,9 @@
 // where the two differ, quantifying the buffer savings of searching beyond
 // the minimal blocks.
 //
-// Scenarios are independent B&B searches, so they fan out over a thread
-// pool (--jobs N, default 2). Each scenario renders into its own string
-// buffer and the buffers are printed in submission order, so the output is
+// Scenarios are independent B&B searches, so they run in parallel
+// (--jobs N threads, default 2). Each scenario renders into its own string
+// buffer and the buffers are printed in a fixed order, so the output is
 // bit-identical for any --jobs — the same determinism contract as
 // bench_fault_campaign.
 #include <algorithm>
@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel_for.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "sharing/analysis.hpp"
 #include "sharing/blocksize.hpp"
 #include "sharing/nonmonotone.hpp"
@@ -177,11 +177,9 @@ int main(int argc, char** argv) {
                      std::to_string(cap_min - best_cap) + " samples"};
   };
 
-  ThreadPool pool(static_cast<std::size_t>(std::max(jobs, 1)));
-  for (auto& s : scenarios) pool.submit([&s](std::size_t) { s(); });
   for (std::size_t i = 0; i < sweep.size(); ++i)
-    pool.submit([&run_sweep_point, i](std::size_t) { run_sweep_point(i); });
-  pool.wait_idle();
+    scenarios.push_back([&run_sweep_point, i] { run_sweep_point(i); });
+  parallel_for(jobs, scenarios.size(), [&](std::size_t i) { scenarios[i](); });
 
   for (const std::string& s : sections) std::cout << s;
 

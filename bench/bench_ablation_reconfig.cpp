@@ -8,19 +8,17 @@
 // report the Algorithm-1 block sizes, the round length (= worst-case
 // latency contribution) and the block buffer footprint.
 //
-// Sweep points are independent, so they fan out over a thread pool
-// (--jobs N, default 2). Each point writes its row into a preallocated
-// slot and the table is rendered serially afterwards, so the output is
-// bit-identical for any --jobs — the same determinism contract as
-// bench_fault_campaign.
-#include <algorithm>
+// Sweep points are independent, so they run in parallel (--jobs N threads,
+// default 2). Each point writes its row into a preallocated slot and the
+// table is rendered serially afterwards, so the output is bit-identical for
+// any --jobs — the same determinism contract as bench_fault_campaign.
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <vector>
 
+#include "common/parallel_for.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "sharing/analysis.hpp"
 #include "sharing/blocksize.hpp"
 
@@ -67,10 +65,7 @@ int main(int argc, char** argv) {
                fmt_int(mem)};
   };
 
-  ThreadPool pool(static_cast<std::size_t>(std::max(jobs, 1)));
-  for (std::size_t i = 0; i < sweep.size(); ++i)
-    pool.submit([&run_point, i](std::size_t) { run_point(i); });
-  pool.wait_idle();
+  parallel_for(jobs, sweep.size(), run_point);
 
   Table t({"R_s (cycles)", "eta_start", "eta_end", "round gamma (cycles)",
            "round (ms @100MHz)", "min block memory (samples)"});

@@ -9,8 +9,6 @@
 // so we sweep plausible clocks around 100 MHz; the SHAPE is what must
 // reproduce: feasibility, the exact 8:1 ratio of the real relaxation, and
 // blocks of the same order of magnitude.
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "common/table.hpp"
@@ -44,16 +42,9 @@ acc::sharing::SharedSystemSpec pal_spec(double clock_hz) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace acc;
   using namespace acc::sharing;
-
-  // --jobs N: DSE worker threads for the buffer-sizing section below.
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      jobs = std::atoi(argv[++i]);
-  }
 
   std::cout << "=== §VI / Algorithm 1: minimum block sizes for the PAL decoder ===\n\n";
   std::cout << "paper reports: eta_start = 10136, eta_end = 1267 "
@@ -98,9 +89,7 @@ int main(int argc, char** argv) {
   // pointless to run in a table bench). Exercises the DSE engine's
   // two-buffer staircase; counters show the memo/pruning savings.
   std::cout << "\nminimum gateway buffers (alpha0, alpha3) per stream on a "
-               "scaled PAL shape (DSE engine, "
-            << (jobs == 0 ? "hw" : std::to_string(jobs))
-            << " worker thread(s)):\n";
+               "scaled PAL shape (DSE engine):\n";
   {
     SharedSystemSpec small;
     small.chain.accel_cycles_per_sample = {1, 1};
@@ -114,7 +103,7 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < small.num_streams(); ++s) {
       const Time period = s == 0 ? 8 : 64;
       const StreamBufferResult r = min_buffers_for_stream(
-          small, s, blocks.eta, period, /*consumer_chunk=*/1, jobs, &stats);
+          small, s, blocks.eta, period, /*consumer_chunk=*/1, &stats);
       bt.add_row({small.streams[s].name, fmt_int(blocks.eta[s]),
                   r.feasible ? fmt_int(r.alpha0) : "-",
                   r.feasible ? fmt_int(r.alpha3) : "-"});

@@ -8,7 +8,7 @@
 #include "app/pal_report.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "ctrl/mode_change.hpp"
 #include "sim/chain_builder.hpp"
 #include "sim/proc_tile.hpp"
@@ -16,6 +16,10 @@
 namespace acc::app {
 
 namespace {
+
+/// Session-completion polling chunk and per-session wait budget (cycles).
+constexpr sim::Cycle kCompletionChunk = 256;
+constexpr sim::Cycle kMaxSessionWait = 1 << 22;
 
 // Functional kernels for the two templates. Pass models a unit-rate stage
 // (filtering that keeps the sample rate); Decimate models the template's
@@ -193,7 +197,7 @@ void validate_config(const ChurnConfig& cfg) {
   ACC_EXPECTS(!cfg.accel_cycles.empty());
   ACC_EXPECTS(cfg.blocks_per_session >= 1 && cfg.prefill_blocks >= 1);
   ACC_EXPECTS(cfg.fifo_slack >= 1);
-  ACC_EXPECTS(cfg.event_gap >= 1 && cfg.completion_chunk >= 1);
+  ACC_EXPECTS(cfg.event_gap >= 1);
   for (const ChurnTemplate& t : cfg.templates) {
     ACC_EXPECTS(t.period >= 1 && t.decimation >= 1 && t.reconfig >= 0);
   }
@@ -240,7 +244,6 @@ ChurnRunResult run_admission_churn(const ChurnConfig& cfg,
   mc.entry = chain.entry;
   mc.accels = chain.accels;
   mc.stepper = stepper;
-  mc.quiesce_chunk = cfg.quiesce_chunk;
   mc.trace = trace;
   mc.metrics = metrics;
   ctrl::ModeChangeProtocol protocol(mc);
@@ -261,9 +264,9 @@ ChurnRunResult run_admission_churn(const ChurnConfig& cfg,
   const auto wait_for_completion = [&](Session& s) {
     const sim::Cycle start = sys.now();
     while (!(s.source->exhausted() && s.sink->done())) {
-      ACC_CHECK_MSG(sys.now() - start <= cfg.max_session_wait,
+      ACC_CHECK_MSG(sys.now() - start <= kMaxSessionWait,
                     "session failed to complete within its wait budget");
-      sys.run_with(stepper, cfg.completion_chunk);
+      sys.run_with(stepper, kCompletionChunk);
     }
   };
 
@@ -404,10 +407,7 @@ ChurnResult run_churn_campaign(const ChurnConfig& cfg) {
   const auto run_one = [&](std::size_t i) {
     res.runs[i] = run_admission_churn(cfg, kinds[i]);
   };
-  ThreadPool pool(static_cast<std::size_t>(std::max(cfg.jobs, 1)));
-  for (std::size_t i = 0; i < res.runs.size(); ++i)
-    pool.submit([&run_one, i](std::size_t) { run_one(i); });
-  pool.wait_idle();
+  parallel_for(cfg.jobs, res.runs.size(), run_one);
 
   res.equivalent = true;
   const ChurnRunResult& ref = res.runs.back();  // wake-list

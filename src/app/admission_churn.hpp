@@ -71,11 +71,6 @@ struct ChurnConfig {
 
   /// Cycles run after every trace event (session inter-arrival time).
   sim::Cycle event_gap = 1024;
-  /// Mode-change quiesce polling chunk (see ctrl/mode_change.hpp).
-  sim::Cycle quiesce_chunk = 64;
-  /// Session-completion polling chunk and per-session wait budget.
-  sim::Cycle completion_chunk = 256;
-  sim::Cycle max_session_wait = 1 << 22;
 
   /// Stepper runs evaluated concurrently; never changes the results.
   int jobs = 1;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "sharing/analysis.hpp"
 #include "sharing/conformance.hpp"
 #include "sim/trace.hpp"
@@ -39,8 +39,6 @@ PalSimConfig small_campaign_pal_config() {
   // Recovery from a lost notification costs ~notify_timeout cycles — far
   // beyond the delay envelope, so "lossy" points surface genuine breaches.
   cfg.notify_timeout = 20000;
-  cfg.notify_max_retries = 8;
-  cfg.notify_backoff = 0;
   return cfg;
 }
 
@@ -129,10 +127,7 @@ FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& cfg) {
     p.metrics_snapshot = metrics.snapshot_text();
   };
 
-  ThreadPool pool(static_cast<std::size_t>(std::max(cfg.jobs, 1)));
-  for (std::size_t i = 0; i < cfg.levels.size(); ++i)
-    pool.submit([&run_point, i](std::size_t) { run_point(i); });
-  pool.wait_idle();
+  parallel_for(cfg.jobs, cfg.levels.size(), run_point);
   return out;
 }
 

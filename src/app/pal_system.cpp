@@ -245,8 +245,8 @@ PalSimResult run_pal_decoder(const PalSimConfig& cfg) {
     mid2.set_fault(cfg.fault);
   }
   if (cfg.notify_timeout > 0) {
-    entry.set_retry_policy(sim::GatewayRetryPolicy{
-        cfg.notify_timeout, cfg.notify_max_retries, cfg.notify_backoff});
+    entry.set_retry_policy(
+        sim::GatewayRetryPolicy{.notify_timeout = cfg.notify_timeout});
   }
 
   const std::int64_t out1 = eta1 / cfg.decimation;

@@ -72,10 +72,9 @@ struct PalSimConfig {
   /// bit-identical across steppers and any --jobs count; caller owns the
   /// registry. See docs/observability.md.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Entry-gateway notification recovery; 0 disables (seed behaviour).
+  /// Entry-gateway notification recovery with GatewayRetryPolicy's
+  /// default retries and back-off; 0 disables (seed behaviour).
   sim::Cycle notify_timeout = 0;
-  int notify_max_retries = 8;
-  sim::Cycle notify_backoff = 0;
 
   /// Stepper selection: kWakeList (default, incremental wake-list
   /// scheduler) or kDense (reference per-cycle loop). Both are cycle-exact

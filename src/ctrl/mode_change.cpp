@@ -4,11 +4,20 @@
 
 namespace acc::ctrl {
 
+namespace {
+
+/// Cycles the quiesce polling runs between two idle checks.
+constexpr sim::Cycle kQuiesceChunk = 64;
+/// Hard budget on one quiesce (a chain that never drains is a protocol
+/// violation, not a slow day): exceeded => invariant_error.
+constexpr sim::Cycle kMaxQuiesce = 4'000'000;
+
+}  // namespace
+
 ModeChangeProtocol::ModeChangeProtocol(const ModeChangeConfig& cfg)
     : cfg_(cfg) {
   ACC_EXPECTS(cfg_.sys != nullptr && cfg_.entry != nullptr);
   ACC_EXPECTS(!cfg_.accels.empty());
-  ACC_EXPECTS(cfg_.quiesce_chunk >= 1 && cfg_.max_quiesce >= 1);
   m_count_ = obs::make_counter(cfg_.metrics, "ctrl.modechange.count");
   m_cycles_ = obs::make_histogram(cfg_.metrics, "ctrl.modechange.cycles",
                                   obs::pow2_bounds(16, 8));
@@ -20,9 +29,9 @@ sim::Cycle ModeChangeProtocol::quiesce() {
   // boundaries and observes the identical resting states, so the
   // transition point is bit-identical across kDense and kWakeList.
   while (!cfg_.entry->is_idle()) {
-    ACC_CHECK_MSG(cfg_.sys->now() - start <= cfg_.max_quiesce,
+    ACC_CHECK_MSG(cfg_.sys->now() - start <= kMaxQuiesce,
                   "mode change failed to quiesce within budget");
-    cfg_.sys->run_with(cfg_.stepper, cfg_.quiesce_chunk);
+    cfg_.sys->run_with(cfg_.stepper, kQuiesceChunk);
   }
   return cfg_.sys->now() - start;
 }

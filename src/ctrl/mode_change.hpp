@@ -40,10 +40,6 @@ struct ModeChangeConfig {
   /// Stepper used for the quiesce polling and the R_s programming window.
   /// Chunked run_with keeps the transition bit-identical across steppers.
   sim::StepperKind stepper = sim::StepperKind::kWakeList;
-  sim::Cycle quiesce_chunk = 64;
-  /// Hard budget on one quiesce (a chain that never drains is a protocol
-  /// violation, not a slow day): exceeded => invariant_error.
-  sim::Cycle max_quiesce = 4'000'000;
   sim::TraceLog* trace = nullptr;
   /// Opt-in metrics: ctrl.modechange.count + ctrl.modechange.cycles
   /// histogram (pow2 buckets of whole-transition reconfiguration cost).

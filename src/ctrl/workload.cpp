@@ -5,11 +5,17 @@
 
 namespace acc::ctrl {
 
+namespace {
+
+/// Probability that an event slot with room for a session joins one.
+constexpr double kJoinBias = 0.55;
+
+}  // namespace
+
 std::vector<SessionEvent> generate_session_trace(const WorkloadConfig& cfg) {
   ACC_EXPECTS(cfg.events >= 1);
   ACC_EXPECTS(cfg.max_concurrent >= 1);
   ACC_EXPECTS(cfg.num_templates >= 1);
-  ACC_EXPECTS(cfg.join_bias > 0.0 && cfg.join_bias < 1.0);
   SplitMix64 rng(cfg.seed);
   std::vector<SessionEvent> out;
   out.reserve(static_cast<std::size_t>(cfg.events));
@@ -18,7 +24,7 @@ std::vector<SessionEvent> generate_session_trace(const WorkloadConfig& cfg) {
   for (std::int32_t i = 0; i < cfg.events; ++i) {
     const bool full =
         static_cast<std::int32_t>(active.size()) >= cfg.max_concurrent;
-    const bool join = active.empty() || (!full && rng.chance(cfg.join_bias));
+    const bool join = active.empty() || (!full && rng.chance(kJoinBias));
     SessionEvent e;
     if (join) {
       e.kind = SessionEvent::Kind::kJoin;

@@ -2,7 +2,7 @@
 // join/leave traces replayed by app/admission_churn (bench E14).
 //
 // Arrivals are memoryless ("Poisson-ish"): at each event slot the trace
-// joins a fresh session with probability `join_bias` (forced when nothing
+// joins a fresh session with probability 0.55 (forced when nothing
 // is active, suppressed when `max_concurrent` sessions already run) and
 // otherwise retires a uniformly chosen active session. Everything derives
 // from SplitMix64, so a (seed, events) pair names one exact trace on every
@@ -32,7 +32,6 @@ struct WorkloadConfig {
   std::int32_t events = 200;
   std::int32_t max_concurrent = 5;
   std::int32_t num_templates = 2;
-  double join_bias = 0.55;
 };
 
 [[nodiscard]] std::vector<SessionEvent> generate_session_trace(

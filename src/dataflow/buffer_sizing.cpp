@@ -9,14 +9,20 @@ namespace acc::df {
 // The search entry points below all route through the DSE engine
 // (dataflow/dse.hpp): it snapshots the graph (so the caller's capacities are
 // trivially preserved), validates once, memoizes every simulated capacity
-// vector and applies monotone feasibility pruning. `opt.jobs` controls the
-// worker-thread count; results are identical for every value.
+// vector and applies monotone feasibility pruning.
 
 namespace {
 
-void flush_stats(const BufferSizingOptions& opt, const DseEngine& engine) {
-  if (opt.stats) *opt.stats += engine.stats();
-}
+/// Adds an engine's counters to opt.stats when the search leaves scope, by
+/// return or by throw: a search for an unreachable target throws after
+/// simulating.
+struct StatsFlush {
+  const BufferSizingOptions& opt;
+  const DseEngine& engine;
+  ~StatsFlush() {
+    if (opt.stats) *opt.stats += engine.stats();
+  }
+};
 
 }  // namespace
 
@@ -33,19 +39,16 @@ std::int64_t min_channel_capacity_for_throughput(
     Graph& g, const Channel& ch, ActorId reference, const Rational& target,
     const BufferSizingOptions& opt) {
   DseEngine engine(g, {ch}, reference, opt);
-  const std::int64_t cap =
-      engine.min_capacity_for(0, engine.snapshot_capacities(), target);
-  flush_stats(opt, engine);
-  return cap;
+  const StatsFlush flush{opt, engine};
+  return engine.min_capacity_for(0, engine.snapshot_capacities(), target);
 }
 
 std::vector<ParetoPoint> pareto_buffer_sweep(Graph& g, const Channel& ch,
                                              ActorId reference,
                                              const BufferSizingOptions& opt) {
   DseEngine engine(g, {ch}, reference, opt);
-  std::vector<ParetoPoint> out = engine.pareto_sweep(0);
-  flush_stats(opt, engine);
-  return out;
+  const StatsFlush flush{opt, engine};
+  return engine.pareto_sweep(0);
 }
 
 }  // namespace acc::df

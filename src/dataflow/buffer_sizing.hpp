@@ -73,10 +73,8 @@ struct BufferSizingOptions {
   std::int64_t max_capacity = 4096;
   /// Iteration budget for each underlying throughput analysis.
   std::int64_t max_iterations = 200000;
-  /// Worker threads for the DSE engine: 1 = serial (the default), 0 = one
-  /// per hardware thread. Results are identical for every value.
-  int jobs = 1;
-  /// When set, engine counters are accumulated here on return.
+  /// When set, engine counters are accumulated here when a search returns
+  /// or throws.
   DseStats* stats = nullptr;
 };
 

@@ -38,8 +38,7 @@ std::string to_dot(const Graph& g, const DotOptions& opt) {
   }
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     const Edge& edge = g.edge(static_cast<EdgeId>(e));
-    const bool is_space =
-        opt.colour_back_edges && edge.name.find(".space") != std::string::npos;
+    const bool is_space = edge.name.find(".space") != std::string::npos;
     os << "  a" << edge.src << " -> a" << edge.dst << " [label=\""
        << quanta_label(edge.prod) << ":" << quanta_label(edge.cons);
     const std::string tok = token_label(edge.initial_tokens);

@@ -6,9 +6,6 @@
 // exact self-timed simulation. This engine makes that exploration fast
 // without changing any answer:
 //
-//  - a fixed-size thread pool evaluates independent capacity vectors
-//    concurrently, each worker owning a private Graph clone so capacity
-//    mutation never races;
 //  - a memo cache keyed by the capacity vector makes repeated probes free —
 //    the staircase search, the per-channel binary searches and the
 //    saturation probes overlap a lot;
@@ -17,14 +14,14 @@
 //    infeasible vector kills every component-wise-smaller candidate and a
 //    feasible vector answers every component-wise-larger one, turning the
 //    budget staircase into a frontier search;
-//  - simulations skip Graph::validate() (the engine validates its clones
-//    once) and run on one SelfTimedExecutor per worker clone, which keeps
-//    its repetition vector from one simulation to the next and hashes
-//    states without allocating. The executor jumps the windows in which a
-//    buffer fills at a steady drift (DseStats::replayed_iterations counts
-//    them) and answers exactly as a run without jumps;
-//  - re-timing: `retime` changes one actor's firing duration on every
-//    clone, for a search over that duration (the shared actor of the
+//  - simulations skip Graph::validate() (the engine validates its snapshot
+//    once) and run on one SelfTimedExecutor bound to the snapshot, which
+//    keeps its repetition vector from one simulation to the next and
+//    hashes states without allocating. The executor jumps the windows in
+//    which a buffer fills at a steady drift (DseStats::replayed_iterations
+//    counts them) and answers exactly as a run without jumps;
+//  - re-timing: `retime` changes one actor's firing duration in the
+//    snapshot, for a search over that duration (the shared actor of the
 //    paper's Fig. 7 model runs for gamma_hat, which varies with the
 //    block-size vector). Self-timed execution is monotone in every firing
 //    duration (the earlier-the-better order the paper's refinement rests
@@ -39,19 +36,16 @@
 //    NDEBUG re-simulate every verdict implied by a point decided at
 //    another duration and check that the two agree.
 //
-// Results are bit-identical across thread counts: feasibility of a vector is
-// a pure function of the vector, and every search picks winners by candidate
-// enumeration order, never by completion order.
+// Every search picks its winner by candidate enumeration order, so the
+// memo and the frontier change how many simulations run, never an answer.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rational.hpp"
-#include "common/thread_pool.hpp"
 #include "dataflow/buffer_sizing.hpp"
 #include "dataflow/executor.hpp"
 #include "dataflow/graph.hpp"
@@ -61,18 +55,19 @@ namespace acc::df {
 class DseEngine {
  public:
   /// Snapshots `g` (the engine never mutates the caller's graph) and
-  /// validates the clone once; all simulations skip re-validation.
+  /// validates the snapshot once; all simulations skip re-validation.
   DseEngine(const Graph& g, std::vector<Channel> channels, ActorId reference,
             BufferSizingOptions opt = {});
+  /// The executor is bound to the engine's own snapshot.
+  DseEngine(const DseEngine&) = delete;
+  DseEngine& operator=(const DseEngine&) = delete;
 
   [[nodiscard]] std::size_t num_channels() const { return channels_.size(); }
-  /// Threads actually used (opt.jobs resolved; 0 means hardware threads).
-  [[nodiscard]] std::size_t jobs() const { return pool_.size(); }
   /// Capacities of the managed channels in the snapshot.
   [[nodiscard]] std::vector<std::int64_t> snapshot_capacities() const;
 
   /// Exact throughput of the reference actor with the managed channels at
-  /// `caps` (memoized; thread-safe; deadlock reports as 0).
+  /// `caps` (memoized; deadlock reports as 0).
   [[nodiscard]] Rational throughput(const std::vector<std::int64_t>& caps);
 
   /// Memoized + pruned `throughput(caps) >= target`. The pruning frontier is
@@ -94,26 +89,23 @@ class DseEngine {
                                               const Rational& target);
 
   /// Full capacity/throughput staircase of channel `idx`, other channels at
-  /// their snapshot capacities. With jobs > 1 the sweep evaluates capacities
-  /// speculatively in waves; the returned staircase is identical either way.
+  /// their snapshot capacities, scanned in capacity order.
   [[nodiscard]] std::vector<ParetoPoint> pareto_sweep(std::size_t idx);
 
-  /// Exact minimum-total capacity assignment meeting `target` — the parallel,
-  /// memoized, pruned replacement of the serial budget-staircase DFS
-  /// (exponential in the channel count: meant for the paper's small
-  /// analysis graphs). The result (vector and total) is independent of the
-  /// thread count. Throws invariant_error if the target is unreachable
-  /// within max_capacity.
+  /// Exact minimum-total capacity assignment meeting `target` — the
+  /// memoized, pruned replacement of the budget-staircase DFS (exponential
+  /// in the channel count: meant for the paper's small analysis graphs).
+  /// Throws invariant_error if the target is unreachable within
+  /// max_capacity.
   [[nodiscard]] MultiBufferResult minimize_total(const Rational& target);
 
   /// Set the firing duration of the single-phase actor `actor` to
-  /// `duration` on every worker clone. Keeps the monotone frontier (see the
-  /// file comment) and clears the memo. An engine re-times one actor only;
-  /// call between searches, never from inside one.
+  /// `duration` in the snapshot. Keeps the monotone frontier (see the file
+  /// comment) and clears the memo. An engine re-times one actor only; call
+  /// between searches, never from inside one.
   void retime(ActorId actor, Time duration);
 
-  /// Snapshot of the counters (thread-safe).
-  [[nodiscard]] DseStats stats() const;
+  [[nodiscard]] const DseStats& stats() const { return stats_; }
 
  private:
   using CapVec = std::vector<std::int64_t>;
@@ -129,47 +121,34 @@ class DseEngine {
     Time decided_at = 0;
   };
 
-  /// Analyze `caps` on the given worker's private graph clone, outside the
-  /// memo and the counters.
-  [[nodiscard]] ThroughputResult run(std::size_t worker, const CapVec& caps);
+  /// Analyze `caps` on the snapshot, outside the memo and the counters.
+  [[nodiscard]] ThroughputResult run(const CapVec& caps);
   /// The throughput of run(), counted as a simulation.
-  [[nodiscard]] Rational simulate(std::size_t worker, const CapVec& caps);
-  /// Memoized throughput usable from pool tasks.
-  [[nodiscard]] Rational throughput_on(std::size_t worker, const CapVec& caps);
-  /// Memoized + pruned feasibility usable from pool tasks.
-  [[nodiscard]] bool feasible_on(std::size_t worker, const CapVec& caps,
-                                 const Rational& target);
+  [[nodiscard]] Rational simulate(const CapVec& caps);
 
   /// `caps` extended by the frontier's duration coordinate.
   [[nodiscard]] CapVec frontier_point(const CapVec& caps) const;
   /// Frontier lookup: nullopt if the point's feasibility is not implied.
-  /// Must be called with mu_ held.
   [[nodiscard]] std::optional<Implied> frontier_implies(
       const CapVec& point) const;
   /// The frontier's verdict on `caps` at the current duration, counted as
   /// a pruning win. Builds without NDEBUG re-simulate a verdict decided at
-  /// another duration on `worker` and check it. Must be called with mu_
-  /// held.
-  [[nodiscard]] std::optional<bool> pruned_verdict(std::size_t worker,
-                                                   const CapVec& caps,
+  /// another duration and check it.
+  [[nodiscard]] std::optional<bool> pruned_verdict(const CapVec& caps,
                                                    const Rational& target);
   /// Record a decided point into the frontier (dominance-filtered).
-  /// Must be called with mu_ held.
   void frontier_note(const CapVec& point, bool ok);
-  /// Reset the frontier when the feasibility target changes. Locks mu_.
+  /// Reset the frontier when the feasibility target changes.
   void set_target(const Rational& target);
 
   std::vector<Channel> channels_;
   ActorId reference_;
   BufferSizingOptions opt_;
-  ThreadPool pool_;
-  /// One private clone per worker (index = worker id); clone 0 doubles as
-  /// the driver-thread graph for serial phases.
-  std::vector<Graph> worker_graphs_;
-  /// One executor per clone, reused by every simulation on that worker.
-  std::vector<SelfTimedExecutor> worker_execs_;
+  /// The validated snapshot every simulation sets capacities on, and the
+  /// executor bound to it, reused by every simulation.
+  Graph graph_;
+  SelfTimedExecutor exec_;
 
-  mutable std::mutex mu_;
   std::unordered_map<CapVec, Rational, CapVecHash> memo_;
   Rational target_;
   bool has_target_ = false;

@@ -45,6 +45,13 @@ void Model::set_objective(const LinExpr& objective, Sense sense) {
 
 namespace {
 
+/// Simplex pivots per LP solve before it gives up.
+constexpr std::int64_t kMaxPivots = 200000;
+/// Branch-and-bound nodes before the search gives up.
+constexpr std::int64_t kMaxNodes = 200000;
+/// A value within this of an integer counts as integral.
+constexpr double kIntegralityEps = 1e-7;
+
 /// Dense two-phase primal simplex with Bland's anti-cycling rule.
 /// Operates on: minimize c'x s.t. Ax (rel) b, x >= 0.
 class Simplex {
@@ -60,14 +67,13 @@ class Simplex {
   }
 
   /// Returns status; on optimal, fills x (length n) and obj.
-  SolveStatus run(const SolveOptions& opt, std::vector<double>* x,
-                  double* obj) {
+  SolveStatus run(std::vector<double>* x, double* obj) {
     build_tableau();
     // Phase 1: minimize artificial sum.
     if (num_artificial_ > 0) {
       std::vector<double> phase1(total_cols_, 0.0);
       for (std::size_t j = art_begin_; j < total_cols_; ++j) phase1[j] = 1.0;
-      const SolveStatus st = optimize(phase1, opt, /*allow_artificial=*/true);
+      const SolveStatus st = optimize(phase1, /*allow_artificial=*/true);
       if (st != SolveStatus::kOptimal) return st;
       if (objective_value(phase1) > 1e-6) return SolveStatus::kInfeasible;
       drive_out_artificials();
@@ -75,7 +81,7 @@ class Simplex {
     // Phase 2.
     std::vector<double> phase2(total_cols_, 0.0);
     for (std::size_t j = 0; j < n_; ++j) phase2[j] = cost_[j];
-    const SolveStatus st = optimize(phase2, opt, /*allow_artificial=*/false);
+    const SolveStatus st = optimize(phase2, /*allow_artificial=*/false);
     if (st != SolveStatus::kOptimal) return st;
     x->assign(n_, 0.0);
     for (std::size_t i = 0; i < m_; ++i) {
@@ -172,10 +178,9 @@ class Simplex {
     basis_[row] = col;
   }
 
-  SolveStatus optimize(const std::vector<double>& c, const SolveOptions& opt,
-                       bool allow_artificial) {
+  SolveStatus optimize(const std::vector<double>& c, bool allow_artificial) {
     const std::size_t col_limit = allow_artificial ? total_cols_ : art_begin_;
-    for (std::int64_t it = 0; it < opt.max_pivots; ++it) {
+    for (std::int64_t it = 0; it < kMaxPivots; ++it) {
       // Bland: smallest-index column with negative reduced cost.
       std::size_t enter = total_cols_;
       for (std::size_t j = 0; j < col_limit; ++j) {
@@ -244,8 +249,7 @@ class Simplex {
 }  // namespace
 
 Solution Model::solve_lp(const std::vector<double>& lo,
-                         const std::vector<double>& hi,
-                         const SolveOptions& opt) const {
+                         const std::vector<double>& hi) const {
   const std::size_t n = vars_.size();
   Simplex sx(n);
 
@@ -286,7 +290,7 @@ Solution Model::solve_lp(const std::vector<double>& lo,
   Solution s;
   std::vector<double> shifted;
   double obj = 0.0;
-  s.status = sx.run(opt, &shifted, &obj);
+  s.status = sx.run(&shifted, &obj);
   if (s.status != SolveStatus::kOptimal) return s;
   s.values.resize(n);
   for (std::size_t j = 0; j < n; ++j) s.values[j] = lo[j] + shifted[j];
@@ -294,7 +298,7 @@ Solution Model::solve_lp(const std::vector<double>& lo,
   return s;
 }
 
-Solution Model::solve(const SolveOptions& opt) const {
+Solution Model::solve() const {
   std::vector<double> lo(vars_.size());
   std::vector<double> hi(vars_.size());
   bool any_integer = false;
@@ -304,7 +308,7 @@ Solution Model::solve(const SolveOptions& opt) const {
     any_integer |= vars_[j].integer;
   }
 
-  Solution root = solve_lp(lo, hi, opt);
+  Solution root = solve_lp(lo, hi);
   if (!any_integer || !root.optimal()) return root;
 
   // Depth-first branch and bound; `better` compares in the minimize sense.
@@ -322,13 +326,13 @@ Solution Model::solve(const SolveOptions& opt) const {
   std::int64_t nodes = 0;
 
   while (!todo.empty()) {
-    if (++nodes > opt.max_nodes) {
+    if (++nodes > kMaxNodes) {
       if (incumbent.optimal()) incumbent.status = SolveStatus::kLimit;
       break;
     }
     Node node = std::move(todo.top());
     todo.pop();
-    Solution rel = solve_lp(node.lo, node.hi, opt);
+    Solution rel = solve_lp(node.lo, node.hi);
     if (rel.status == SolveStatus::kUnbounded) return rel;
     if (!rel.optimal()) continue;
     if (incumbent.optimal() && !better(rel.objective, incumbent.objective))
@@ -336,7 +340,7 @@ Solution Model::solve(const SolveOptions& opt) const {
 
     // Find the most fractional integer variable.
     VarId branch = -1;
-    double worst_frac = opt.eps;
+    double worst_frac = kIntegralityEps;
     for (std::size_t j = 0; j < vars_.size(); ++j) {
       if (!vars_[j].integer) continue;
       const double v = rel.values[j];

@@ -52,15 +52,6 @@ struct Solution {
   [[nodiscard]] std::int64_t value_int(VarId v) const;
 };
 
-struct SolveOptions {
-  /// Max simplex pivots per LP solve.
-  std::int64_t max_pivots = 200000;
-  /// Max branch-and-bound nodes.
-  std::int64_t max_nodes = 200000;
-  /// Feasibility / integrality tolerance.
-  double eps = 1e-7;
-};
-
 /// A small MILP model. Variables have bounds and an integrality flag;
 /// constraints relate linear expressions to constants.
 class Model {
@@ -72,8 +63,10 @@ class Model {
   void set_objective(const LinExpr& objective, Sense sense);
 
   /// Solve. If any variable is integer, branch-and-bound runs on top of the
-  /// LP relaxation; otherwise a single LP solve.
-  [[nodiscard]] Solution solve(const SolveOptions& opt = {}) const;
+  /// LP relaxation; otherwise a single LP solve. Each LP solve stops after
+  /// 200,000 simplex pivots and the branch-and-bound after 200,000 nodes
+  /// (SolveStatus::kLimit).
+  [[nodiscard]] Solution solve() const;
 
  private:
   struct Var {
@@ -88,8 +81,8 @@ class Model {
   };
 
   /// Solve the LP relaxation with extra bounds layered on (B&B nodes).
-  Solution solve_lp(const std::vector<double>& lo, const std::vector<double>& hi,
-                    const SolveOptions& opt) const;
+  Solution solve_lp(const std::vector<double>& lo,
+                    const std::vector<double>& hi) const;
 
   std::vector<Var> vars_;
   std::vector<Constraint> constraints_;

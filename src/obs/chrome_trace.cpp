@@ -41,8 +41,7 @@ json::Object counter_event(const std::string& series, sim::Cycle ts,
 
 }  // namespace
 
-json::Value chrome_trace_doc(const sim::TraceLog& log,
-                             const ChromeTraceOptions& opt) {
+json::Value chrome_trace_doc(const sim::TraceLog& log) {
   json::Array events;
   events.emplace_back(meta_event("process_name", kCountersTid, "accshare-sim"));
   events.emplace_back(meta_event("thread_name", kCountersTid, "counters"));
@@ -79,50 +78,36 @@ json::Value chrome_trace_doc(const sim::TraceLog& log,
     inst["args"] = std::move(args);
     events.emplace_back(std::move(inst));
 
-    if (opt.durations) {
-      if (e.event == "reconfig.start") {
-        open_reconfig[e.source] = e.cycle;
-      } else if (e.event == "reconfig.done") {
-        const auto it = open_reconfig.find(e.source);
-        if (it != open_reconfig.end()) {
-          json::Object dur;
-          dur["name"] = "reconfig";
-          dur["ph"] = "X";
-          dur["pid"] = kPid;
-          dur["tid"] = tid;
-          dur["ts"] = it->second;
-          dur["dur"] = e.cycle - it->second;
-          json::Object dargs;
-          dargs["stream"] = e.value;
-          dur["args"] = std::move(dargs);
-          events.emplace_back(std::move(dur));
-          open_reconfig.erase(it);
-        }
-      } else if (e.event == "modechange.start") {
-        open_modechange[e.source] = e.cycle;
-      } else if (e.event == "modechange.done") {
-        const auto it = open_modechange.find(e.source);
-        if (it != open_modechange.end()) {
-          json::Object dur;
-          dur["name"] = "modechange";
-          dur["ph"] = "X";
-          dur["pid"] = kPid;
-          dur["tid"] = tid;
-          dur["ts"] = it->second;
-          dur["dur"] = e.cycle - it->second;
-          json::Object dargs;
-          dargs["stream"] = e.value;
-          dur["args"] = std::move(dargs);
-          events.emplace_back(std::move(dur));
-          open_modechange.erase(it);
-        }
-      }
-    }
-    if (opt.counters) {
-      if (e.event == "block.done")
-        events.emplace_back(counter_event("blocks.done", e.cycle, ++blocks_done));
-      else if (e.event.rfind("fault.", 0) == 0)
-        events.emplace_back(counter_event("faults", e.cycle, ++faults_seen));
+    // A done event closes its source's open window into a duration bar.
+    const auto close_window = [&](std::map<std::string, sim::Cycle>& open,
+                                  const char* name) {
+      const auto it = open.find(e.source);
+      if (it == open.end()) return;
+      json::Object dur;
+      dur["name"] = name;
+      dur["ph"] = "X";
+      dur["pid"] = kPid;
+      dur["tid"] = tid;
+      dur["ts"] = it->second;
+      dur["dur"] = e.cycle - it->second;
+      json::Object dargs;
+      dargs["stream"] = e.value;
+      dur["args"] = std::move(dargs);
+      events.emplace_back(std::move(dur));
+      open.erase(it);
+    };
+    if (e.event == "reconfig.start") {
+      open_reconfig[e.source] = e.cycle;
+    } else if (e.event == "reconfig.done") {
+      close_window(open_reconfig, "reconfig");
+    } else if (e.event == "modechange.start") {
+      open_modechange[e.source] = e.cycle;
+    } else if (e.event == "modechange.done") {
+      close_window(open_modechange, "modechange");
+    } else if (e.event == "block.done") {
+      events.emplace_back(counter_event("blocks.done", e.cycle, ++blocks_done));
+    } else if (e.event.rfind("fault.", 0) == 0) {
+      events.emplace_back(counter_event("faults", e.cycle, ++faults_seen));
     }
   }
 
@@ -150,9 +135,8 @@ json::Value chrome_trace_doc(const sim::TraceLog& log,
   return doc;
 }
 
-std::string chrome_trace_json(const sim::TraceLog& log,
-                              const ChromeTraceOptions& opt) {
-  return chrome_trace_doc(log, opt).pretty() + "\n";
+std::string chrome_trace_json(const sim::TraceLog& log) {
+  return chrome_trace_doc(log).pretty() + "\n";
 }
 
 }  // namespace acc::obs

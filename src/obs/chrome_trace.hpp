@@ -10,8 +10,9 @@
 //   - every TraceEvent becomes a thread-scoped instant event ("ph":"i") at
 //     its cycle, with the payload in args.value — instants on one track are
 //     monotone in ts because the log is recorded in cycle order;
-//   - reconfig.start/reconfig.done pairs additionally become complete
-//     duration events ("ph":"X") so context-switch windows render as bars;
+//   - reconfig.start/reconfig.done and modechange.start/modechange.done
+//     pairs additionally become complete duration events ("ph":"X") so
+//     context-switch and mode-change windows render as bars;
 //   - block.done and fault.* events feed cumulative counter series
 //     ("ph":"C") on a dedicated counters track;
 //   - a TRUNCATED log (events dropped at the TraceLog cap) ends with a
@@ -31,19 +32,10 @@
 
 namespace acc::obs {
 
-struct ChromeTraceOptions {
-  /// Synthesize "X" duration events from reconfig.start/done pairs.
-  bool durations = true;
-  /// Emit cumulative counter series for block completions and faults.
-  bool counters = true;
-};
-
 /// The trace document as a JSON value ({"traceEvents": [...], ...}).
-[[nodiscard]] json::Value chrome_trace_doc(const sim::TraceLog& log,
-                                           const ChromeTraceOptions& opt = {});
+[[nodiscard]] json::Value chrome_trace_doc(const sim::TraceLog& log);
 
 /// chrome_trace_doc serialized for writing to a .json file.
-[[nodiscard]] std::string chrome_trace_json(const sim::TraceLog& log,
-                                            const ChromeTraceOptions& opt = {});
+[[nodiscard]] std::string chrome_trace_json(const sim::TraceLog& log);
 
 }  // namespace acc::obs

@@ -144,13 +144,13 @@ bool delivers(std::int64_t eta, Time gamma, Time sample_period) {
 class StreamSizer {
  public:
   StreamSizer(std::int64_t eta, Time gamma, Time sample_period,
-              std::int64_t consumer_chunk, int jobs)
+              std::int64_t consumer_chunk)
       // The consumer sustains one sample per sample_period = one firing per
       // chunk * sample_period.
       : target_(Rational(1, sample_period) / Rational(consumer_chunk)),
         model_(build_model(eta, gamma, sample_period, consumer_chunk)),
         engine_(model_.graph, {model_.input_buffer, model_.output_buffer},
-                model_.consumer, engine_options(eta, consumer_chunk, jobs)) {}
+                model_.consumer, engine_options(eta, consumer_chunk)) {}
 
   /// Minimum alpha0/alpha3 with the shared actor firing for `gamma` cycles;
   /// the caller has checked delivers(eta, gamma, sample_period).
@@ -164,7 +164,7 @@ class StreamSizer {
     return out;
   }
 
-  [[nodiscard]] df::DseStats stats() const { return engine_.stats(); }
+  [[nodiscard]] const df::DseStats& stats() const { return engine_.stats(); }
 
  private:
   /// Generous starting capacities; the searches shrink them.
@@ -187,11 +187,9 @@ class StreamSizer {
   }
 
   static df::BufferSizingOptions engine_options(std::int64_t eta,
-                                                std::int64_t consumer_chunk,
-                                                int jobs) {
+                                                std::int64_t consumer_chunk) {
     df::BufferSizingOptions bopt;
     bopt.max_capacity = cap0(eta, consumer_chunk);
-    bopt.jobs = jobs;
     return bopt;
   }
 
@@ -246,7 +244,7 @@ void for_each_block_vector(const SharedSystemSpec& sys,
 StreamBufferResult min_buffers_for_stream(
     const SharedSystemSpec& sys, std::size_t stream,
     const std::vector<std::int64_t>& etas, Time sample_period,
-    std::int64_t consumer_chunk, int jobs, df::DseStats* stats) {
+    std::int64_t consumer_chunk, df::DseStats* stats) {
   sys.validate();
   ACC_EXPECTS(stream < sys.num_streams());
   ACC_EXPECTS(etas.size() == sys.num_streams());
@@ -258,16 +256,25 @@ StreamBufferResult min_buffers_for_stream(
   // A faster sample period than the shared actor's block rate is
   // structurally impossible.
   if (!delivers(eta, gamma, sample_period)) return {};
-  StreamSizer sizer(eta, gamma, sample_period, consumer_chunk, jobs);
+  StreamSizer sizer(eta, gamma, sample_period, consumer_chunk);
   const StreamBufferResult out = sizer.size(gamma);
   if (stats) *stats += sizer.stats();
   return out;
 }
 
+StreamBufferResult min_buffers_for_stream(
+    const SharedSystemSpec& sys, std::size_t stream,
+    const std::vector<std::int64_t>& etas, Time sample_period,
+    std::int64_t consumer_chunk, int jobs, df::DseStats* stats) {
+  ACC_EXPECTS(jobs == 1);
+  return min_buffers_for_stream(sys, stream, etas, sample_period,
+                                consumer_chunk, stats);
+}
+
 OptimalBlockResult optimal_blocks_for_buffers(
     const SharedSystemSpec& sys, const std::vector<Time>& sample_periods,
     std::int64_t eta_slack, const std::vector<std::int64_t>& consumer_chunks,
-    int jobs, df::DseStats* stats) {
+    df::DseStats* stats) {
   sys.validate();
   ACC_EXPECTS(sample_periods.size() == sys.num_streams());
   ACC_EXPECTS(eta_slack >= 0);
@@ -303,7 +310,7 @@ OptimalBlockResult optimal_blocks_for_buffers(
     const auto [s, eta] = key;
     const std::vector<Time> order =
         extremes_first({gammas.begin(), gammas.end()});
-    StreamSizer sizer(eta, order.front(), sample_periods[s], chunks[s], jobs);
+    StreamSizer sizer(eta, order.front(), sample_periods[s], chunks[s]);
     for (const Time gamma : order) sized[{s, eta, gamma}] = sizer.size(gamma);
     if (stats) *stats += sizer.stats();
   }
@@ -327,6 +334,15 @@ OptimalBlockResult optimal_blocks_for_buffers(
         }
       });
   return best;
+}
+
+OptimalBlockResult optimal_blocks_for_buffers(
+    const SharedSystemSpec& sys, const std::vector<Time>& sample_periods,
+    std::int64_t eta_slack, const std::vector<std::int64_t>& consumer_chunks,
+    int jobs, df::DseStats* stats) {
+  ACC_EXPECTS(jobs == 1);
+  return optimal_blocks_for_buffers(sys, sample_periods, eta_slack,
+                                    consumer_chunks, stats);
 }
 
 }  // namespace acc::sharing

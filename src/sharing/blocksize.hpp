@@ -68,13 +68,18 @@ struct StreamBufferResult {
 /// claiming `consumer_chunk` samples atomically per firing (1 = plain
 /// sample-rate consumer; >1 = a downstream block consumer such as the next
 /// gateway stream or a down-sampler — the Fig. 8 non-monotone case).
-/// `jobs` is the DSE worker-thread count (results identical for any value);
 /// `stats` optionally accumulates the engine counters.
 [[nodiscard]] StreamBufferResult min_buffers_for_stream(
     const SharedSystemSpec& sys, std::size_t stream,
     const std::vector<std::int64_t>& etas, Time sample_period,
-    std::int64_t consumer_chunk = 1, int jobs = 1,
-    df::DseStats* stats = nullptr);
+    std::int64_t consumer_chunk = 1, df::DseStats* stats = nullptr);
+
+/// The signature with the retired DSE worker count, which the benchmark's
+/// dse_sizing workload (perfbench/cpp/dse.cpp) still calls. `jobs` must be 1.
+[[nodiscard]] StreamBufferResult min_buffers_for_stream(
+    const SharedSystemSpec& sys, std::size_t stream,
+    const std::vector<std::int64_t>& etas, Time sample_period,
+    std::int64_t consumer_chunk, int jobs, df::DseStats* stats);
 
 struct OptimalBlockResult {
   bool feasible = false;
@@ -96,7 +101,14 @@ struct OptimalBlockResult {
 [[nodiscard]] OptimalBlockResult optimal_blocks_for_buffers(
     const SharedSystemSpec& sys, const std::vector<Time>& sample_periods,
     std::int64_t eta_slack,
-    const std::vector<std::int64_t>& consumer_chunks = {}, int jobs = 1,
+    const std::vector<std::int64_t>& consumer_chunks = {},
     df::DseStats* stats = nullptr);
+
+/// The signature with the retired DSE worker count, which the benchmark's
+/// dse_sizing workload (perfbench/cpp/dse.cpp) still calls. `jobs` must be 1.
+[[nodiscard]] OptimalBlockResult optimal_blocks_for_buffers(
+    const SharedSystemSpec& sys, const std::vector<Time>& sample_periods,
+    std::int64_t eta_slack, const std::vector<std::int64_t>& consumer_chunks,
+    int jobs, df::DseStats* stats);
 
 }  // namespace acc::sharing

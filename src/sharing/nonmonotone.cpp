@@ -9,11 +9,10 @@ namespace acc::sharing {
 namespace {
 
 BufferSweepPoint sweep_point(df::Graph& g, const df::Channel& ch,
-                             df::ActorId consumer, std::int64_t eta, int jobs,
+                             df::ActorId consumer, std::int64_t eta,
                              df::DseStats* stats) {
   df::BufferSizingOptions opt;
   opt.max_capacity = std::max<std::int64_t>(64, 8 * eta);
-  opt.jobs = jobs;
   // One engine for both questions: the saturation probes populate the memo
   // the minimum-capacity binary search then hits.
   df::DseEngine engine(g, {ch}, consumer, opt);
@@ -31,7 +30,7 @@ BufferSweepPoint sweep_point(df::Graph& g, const df::Channel& ch,
 
 std::vector<BufferSweepPoint> two_actor_buffer_sweep(
     Time producer_duration, Time consumer_duration, std::int64_t eta_lo,
-    std::int64_t eta_hi, int jobs, df::DseStats* stats) {
+    std::int64_t eta_hi, df::DseStats* stats) {
   ACC_EXPECTS(eta_lo >= 1 && eta_hi >= eta_lo);
   std::vector<BufferSweepPoint> out;
   for (std::int64_t eta = eta_lo; eta <= eta_hi; ++eta) {
@@ -39,14 +38,14 @@ std::vector<BufferSweepPoint> two_actor_buffer_sweep(
     const df::ActorId a = g.add_sdf_actor("vA", producer_duration);
     const df::ActorId b = g.add_sdf_actor("vB", consumer_duration);
     const df::Channel ch = g.add_channel(a, b, {1}, {eta}, eta, 0, "alpha");
-    out.push_back(sweep_point(g, ch, b, eta, jobs, stats));
+    out.push_back(sweep_point(g, ch, b, eta, stats));
   }
   return out;
 }
 
 std::vector<BufferSweepPoint> chunked_consumer_buffer_sweep(
     Time reconfig, Time per_sample, Time sample_period, std::int64_t chunk,
-    std::int64_t eta_lo, std::int64_t eta_hi, int jobs, df::DseStats* stats) {
+    std::int64_t eta_lo, std::int64_t eta_hi, df::DseStats* stats) {
   ACC_EXPECTS(eta_lo >= 1 && eta_hi >= eta_lo);
   ACC_EXPECTS(chunk >= 1 && sample_period >= 1);
   std::vector<BufferSweepPoint> out;
@@ -62,7 +61,6 @@ std::vector<BufferSweepPoint> chunked_consumer_buffer_sweep(
     const Rational target = Rational(1, sample_period) / Rational(chunk);
     df::BufferSizingOptions opt;
     opt.max_capacity = 8 * eta + 8 * chunk + 64;
-    opt.jobs = jobs;
     opt.stats = stats;
     BufferSweepPoint p;
     p.eta = eta;
@@ -80,7 +78,7 @@ std::vector<BufferSweepPoint> chunked_consumer_buffer_sweep(
 
 std::vector<GatewayBufferPoint> gateway_buffer_sweep(
     const SharedSystemSpec& sys, std::size_t stream, Time sample_period,
-    std::int64_t eta_lo, std::int64_t eta_hi, int jobs, df::DseStats* stats) {
+    std::int64_t eta_lo, std::int64_t eta_hi, df::DseStats* stats) {
   ACC_EXPECTS(stream < sys.num_streams());
   const BlockSizeResult base = solve_block_sizes_fixpoint(sys);
   std::vector<GatewayBufferPoint> out;
@@ -93,7 +91,7 @@ std::vector<GatewayBufferPoint> gateway_buffer_sweep(
     p.eta = eta;
     const StreamBufferResult r =
         min_buffers_for_stream(sys, stream, etas, sample_period,
-                               /*consumer_chunk=*/1, jobs, stats);
+                               /*consumer_chunk=*/1, stats);
     p.feasible = r.feasible;
     p.alpha0 = r.alpha0;
     p.alpha3 = r.alpha3;

@@ -6,9 +6,8 @@
 
 namespace acc::sim {
 
-ProcessorTile::ProcessorTile(std::string name, Cycle replenish_period,
-                             SchedulerPolicy policy)
-    : name_(std::move(name)), period_(replenish_period), policy_(policy) {
+ProcessorTile::ProcessorTile(std::string name, Cycle replenish_period)
+    : name_(std::move(name)), period_(replenish_period) {
   ACC_EXPECTS(replenish_period >= 1);
 }
 
@@ -51,23 +50,12 @@ void ProcessorTile::tick(Cycle now) {
     ++busy_cycles_;
     return;
   }
-  // Candidate order: round-robin rotation, or strict priority (stable by
-  // registration order within a priority level). Only tasks still holding
-  // budget are eligible — budget exhaustion suspends a task until the next
+  // Candidates in round-robin rotation. Only tasks still holding budget
+  // are eligible — budget exhaustion suspends a task until the next
   // replenishment, giving the temporal isolation the dataflow analysis of
   // software tasks relies on (ref [18]).
-  order_.clear();
-  if (policy_ == SchedulerPolicy::kPriorityBudget) {
-    for (std::size_t k = 0; k < tasks_.size(); ++k) order_.push_back(k);
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return tasks_[a].priority > tasks_[b].priority;
-                     });
-  } else {
-    for (std::size_t k = 0; k < tasks_.size(); ++k)
-      order_.push_back((current_ + k) % tasks_.size());
-  }
-  for (const std::size_t idx : order_) {
+  for (std::size_t k = 0; k < tasks_.size(); ++k) {
+    const std::size_t idx = (current_ + k) % tasks_.size();
     if (budget_left_[idx] <= 0) continue;
     const Cycle cost = tasks_[idx].invoke(now);
     if (cost > 0) {

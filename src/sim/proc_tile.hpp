@@ -36,8 +36,6 @@ struct Task {
   std::function<Cycle(Cycle now)> invoke;
   /// Budget (cycles) granted every replenishment period.
   Cycle budget = 100;
-  /// Priority (larger = more urgent); only used by kPriorityBudget.
-  std::int32_t priority = 0;
   /// Optional event-horizon hint: earliest cycle >= now at which `invoke`
   /// could return non-zero, assuming nobody touches its C-FIFOs in the
   /// meantime (CFifo::when_fill_visible / when_space_visible compose well
@@ -56,20 +54,9 @@ struct Task {
   std::vector<CFifo*> wake_on_pop{};
 };
 
-/// Scheduling policy of the paper's budget scheduler (ref [18]): both
-/// enforce per-task budgets per replenishment period (temporal isolation —
-/// the property that makes tasks analyzable with conservative dataflow
-/// models); they differ in how ready tasks with remaining budget are
-/// ordered.
-enum class SchedulerPolicy {
-  kRoundRobin,      // fair rotation
-  kPriorityBudget,  // strict priority among tasks holding budget
-};
-
 class ProcessorTile final : public Component {
  public:
-  ProcessorTile(std::string name, Cycle replenish_period,
-                SchedulerPolicy policy = SchedulerPolicy::kRoundRobin);
+  ProcessorTile(std::string name, Cycle replenish_period);
 
   void add_task(Task t);
   void tick(Cycle now) override;
@@ -107,11 +94,9 @@ class ProcessorTile final : public Component {
  private:
   std::string name_;
   Cycle period_;
-  SchedulerPolicy policy_;
   std::vector<Task> tasks_;
   std::vector<Cycle> budget_left_;
   std::vector<std::int64_t> invocations_;
-  std::vector<std::size_t> order_;  // reusable scan buffer (hot path)
   std::size_t current_ = 0;
   Cycle busy_until_ = 0;
   Cycle next_replenish_ = 0;

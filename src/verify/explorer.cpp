@@ -4,7 +4,7 @@
 #include <unordered_set>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "sharing/analysis.hpp"
 #include "sim/flit.hpp"
 
@@ -328,30 +328,26 @@ ExploreResult explore(const ModelSpec& ms, int jobs) {
 
   std::vector<std::vector<Action>> frontier{{}};
   const std::size_t n_actions = catalog.size();
-  ThreadPool pool(static_cast<std::size_t>(std::max(jobs, 1)));
 
   for (std::int64_t d = 1; d <= ms.depth && !frontier.empty(); ++d) {
+    // Child k applies action k % n_actions to frontier node k / n_actions.
     std::vector<Child> children(frontier.size() * n_actions);
-    for (std::size_t ni = 0; ni < frontier.size(); ++ni) {
-      for (std::size_t ai = 0; ai < n_actions; ++ai) {
-        pool.submit([&, ni, ai](std::size_t) {
-          Child& c = children[ni * n_actions + ai];
-          Runner r(ms);
-          for (const Action& a : frontier[ni]) r.apply(a);
-          if (!r.enabled(catalog[ai])) return;
-          r.apply(catalog[ai]);
-          if (!r.violations().empty()) {
-            c.status = 2;
-            c.violations = r.violations();
-          } else {
-            c.status = 1;
-            c.digest = r.digest();
-            c.capped = r.advance_capped();
-          }
-        });
+    parallel_for(jobs, children.size(), [&](std::size_t k) {
+      Child& c = children[k];
+      Runner r(ms);
+      for (const Action& a : frontier[k / n_actions]) r.apply(a);
+      const Action& act = catalog[k % n_actions];
+      if (!r.enabled(act)) return;
+      r.apply(act);
+      if (!r.violations().empty()) {
+        c.status = 2;
+        c.violations = r.violations();
+      } else {
+        c.status = 1;
+        c.digest = r.digest();
+        c.capped = r.advance_capped();
       }
-    }
-    pool.wait_idle();
+    });
 
     // Sequential merge in (node, action) order: the first violation in
     // deterministic order wins, whatever the worker schedule was.

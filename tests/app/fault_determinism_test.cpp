@@ -2,7 +2,7 @@
 // yields a bit-identical BENCH_faults.json document and bit-identical
 // per-point gateway traces, across repeated runs and across --jobs values.
 // The test is sanitizer-friendly: under TSan it additionally exercises the
-// thread pool path for races (campaign points share no mutable state).
+// parallel loop for races (campaign points share no mutable state).
 #include <gtest/gtest.h>
 
 #include "app/fault_campaign.hpp"

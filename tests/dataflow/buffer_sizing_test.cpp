@@ -67,6 +67,21 @@ TEST(BufferSizing, UnreachableTargetThrows) {
                invariant_error);
 }
 
+// A search that ends in "unreachable" has simulated on its way there; its
+// counters reach opt.stats all the same.
+TEST(BufferSizing, UnreachableTargetStillCountsItsSimulations) {
+  ProducerConsumer pc = make_pc(2, 1, 1, 1, 1);
+  DseStats stats;
+  BufferSizingOptions opt;
+  opt.max_capacity = 64;
+  opt.stats = &stats;
+  EXPECT_THROW((void)min_channel_capacity_for_throughput(pc.g, pc.ch, pc.a,
+                                                         Rational(1), opt),
+               invariant_error);
+  EXPECT_GT(stats.simulations, 0);
+  EXPECT_EQ(stats.simulations, stats.cache_misses);
+}
+
 // max_capacity bounds every search: no capacity above it is probed or
 // returned, and the unbounded-channel probe ends with max_capacity itself.
 TEST(BufferSizing, SearchesStayWithinMaxCapacity) {

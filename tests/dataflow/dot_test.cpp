@@ -46,11 +46,7 @@ TEST(Dot, SpaceEdgesDashed) {
   const ActorId a = g.add_sdf_actor("a", 1);
   const ActorId b = g.add_sdf_actor("b", 1);
   g.add_channel(a, b, {1}, {1}, 4, 0, "buf");
-  const std::string dot = to_dot(g);
-  EXPECT_NE(dot.find("style=dashed"), std::string::npos);
-  DotOptions plain;
-  plain.colour_back_edges = false;
-  EXPECT_EQ(to_dot(g, plain).find("style=dashed"), std::string::npos);
+  EXPECT_NE(to_dot(g).find("style=dashed"), std::string::npos);
 }
 
 }  // namespace

@@ -1,68 +1,21 @@
-// Tests for the design-space exploration engine (dataflow/dse.hpp) and the
-// thread pool beneath it: memo-cache hit accounting, monotone-pruning
-// correctness against the brute-force staircase, and thread-count
-// determinism on the PAL decoder stream graphs.
+// Tests for the design-space exploration engine (dataflow/dse.hpp):
+// memo-cache hit accounting, monotone-pruning correctness against the
+// brute-force staircase, and re-timing against fresh engines.
 #include "dataflow/dse.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
 #include <numeric>
-#include <set>
 
 #include "../support/throughput.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "dataflow/buffer_sizing.hpp"
 #include "dataflow/graph.hpp"
-#include "sharing/blocksize.hpp"
 #include "sharing/sdf_model.hpp"
 
 namespace acc::df {
 namespace {
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsEveryTaskOnValidWorkerIds) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> sum{0};
-  std::atomic<bool> bad_worker{false};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&, i](std::size_t w) {
-      if (w >= pool.size()) bad_worker = true;
-      sum += i;
-    });
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), 99 * 100 / 2);
-  EXPECT_FALSE(bad_worker.load());
-}
-
-TEST(ThreadPool, InlineModeExecutesAtSubmit) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1u);
-  int calls = 0;
-  pool.submit([&](std::size_t w) {
-    EXPECT_EQ(w, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);  // ran inline, before wait_idle
-  pool.wait_idle();
-}
-
-TEST(ThreadPool, TaskExceptionRethrownFromWaitIdle) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    ThreadPool pool(threads);
-    pool.submit([](std::size_t) { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-    // The pool stays usable after an exception.
-    std::atomic<int> ok{0};
-    pool.submit([&](std::size_t) { ++ok; });
-    pool.wait_idle();
-    EXPECT_EQ(ok.load(), 1);
-  }
-}
 
 // ---------------------------------------------------------------- fixtures
 
@@ -236,15 +189,10 @@ TEST(DseEngine, MinimizeMatchesBruteForceOnSmallGraphs) {
         DseEngine(g, {ab, bc}, b, opt).max_throughput_unbounded();
     const MultiBufferResult ref =
         brute_force_minimize(g, {ab, bc}, b, target, opt);
-    for (const int jobs : {1, 3}) {
-      BufferSizingOptions jopt = opt;
-      jopt.jobs = jobs;
-      const MultiBufferResult res =
-          DseEngine(g, {ab, bc}, b, jopt).minimize_total(target);
-      EXPECT_EQ(res.total, ref.total) << "trial=" << trial << " jobs=" << jobs;
-      EXPECT_EQ(res.capacities, ref.capacities)
-          << "trial=" << trial << " jobs=" << jobs;
-    }
+    const MultiBufferResult res =
+        DseEngine(g, {ab, bc}, b, opt).minimize_total(target);
+    EXPECT_EQ(res.total, ref.total) << "trial=" << trial;
+    EXPECT_EQ(res.capacities, ref.capacities) << "trial=" << trial;
   }
 }
 
@@ -298,107 +246,23 @@ TEST(DseEngine, RetimedMinimizeMatchesFreshEngines) {
   const Rational target(1, 12);
   BufferSizingOptions bopt;
   bopt.max_capacity = 40;
-  for (const int jobs : {1, 3}) {
-    bopt.jobs = jobs;
-    DseEngine engine(model.graph, {model.input_buffer, model.output_buffer},
-                     model.consumer, bopt);
-    DseStats fresh_stats;
-    // The shared actor keeps up with one sample per 3 cycles up to d = 18.
-    for (const Time d : {10, 18, 14, 12, 16, 11, 13, 15, 17}) {
-      engine.retime(model.shared, d);
-      model.graph.set_actor_duration(model.shared, d);
-      DseEngine fresh(model.graph, {model.input_buffer, model.output_buffer},
-                      model.consumer, bopt);
-      const MultiBufferResult got = engine.minimize_total(target);
-      const MultiBufferResult want = fresh.minimize_total(target);
-      EXPECT_EQ(got.capacities, want.capacities) << "d=" << d;
-      EXPECT_EQ(got.total, want.total) << "d=" << d;
-      fresh_stats += fresh.stats();
-    }
-    EXPECT_LT(engine.stats().simulations, fresh_stats.simulations);
-    EXPECT_GT(engine.stats().pruned(), fresh_stats.pruned());
+  DseEngine engine(model.graph, {model.input_buffer, model.output_buffer},
+                   model.consumer, bopt);
+  DseStats fresh_stats;
+  // The shared actor keeps up with one sample per 3 cycles up to d = 18.
+  for (const Time d : {10, 18, 14, 12, 16, 11, 13, 15, 17}) {
+    engine.retime(model.shared, d);
+    model.graph.set_actor_duration(model.shared, d);
+    DseEngine fresh(model.graph, {model.input_buffer, model.output_buffer},
+                    model.consumer, bopt);
+    const MultiBufferResult got = engine.minimize_total(target);
+    const MultiBufferResult want = fresh.minimize_total(target);
+    EXPECT_EQ(got.capacities, want.capacities) << "d=" << d;
+    EXPECT_EQ(got.total, want.total) << "d=" << d;
+    fresh_stats += fresh.stats();
   }
-}
-
-// ------------------------------------------------------------- determinism
-
-/// The Fig. 7 SDF abstraction of a PAL-decoder-shaped stream (shared actor
-/// with reconfiguration, chunked down-sampling consumer) — the graphs the
-/// Sec. 6 explorations run on, scaled to test size.
-sharing::SharedSystemSpec pal_like_small() {
-  sharing::SharedSystemSpec sys;
-  sys.chain.accel_cycles_per_sample = {1, 1};
-  sys.chain.entry_cycles_per_sample = 2;
-  sys.chain.exit_cycles_per_sample = 1;
-  sys.streams = {{"start", Rational(1, 8), 20}, {"end", Rational(1, 64), 20}};
-  return sys;
-}
-
-TEST(DseDeterminism, MinimizeTotalIdenticalAcrossThreadCountsOnPalGraphs) {
-  const sharing::SharedSystemSpec sys = pal_like_small();
-  const sharing::BlockSizeResult blocks =
-      sharing::solve_block_sizes_fixpoint(sys);
-  ASSERT_TRUE(blocks.feasible);
-  for (const std::size_t stream : {std::size_t{0}, std::size_t{1}}) {
-    const Time period = stream == 0 ? 8 : 64;
-    df::DseStats stats1, stats4;
-    const sharing::StreamBufferResult r1 = sharing::min_buffers_for_stream(
-        sys, stream, blocks.eta, period, /*consumer_chunk=*/stream == 0 ? 8 : 1,
-        /*jobs=*/1, &stats1);
-    const sharing::StreamBufferResult r4 = sharing::min_buffers_for_stream(
-        sys, stream, blocks.eta, period, /*consumer_chunk=*/stream == 0 ? 8 : 1,
-        /*jobs=*/4, &stats4);
-    ASSERT_EQ(r1.feasible, r4.feasible);
-    EXPECT_EQ(r1.alpha0, r4.alpha0) << "stream=" << stream;
-    EXPECT_EQ(r1.alpha3, r4.alpha3) << "stream=" << stream;
-    EXPECT_EQ(r1.total(), r4.total());
-    EXPECT_GT(stats1.simulations, 0);
-    EXPECT_GT(stats4.simulations, 0);
-  }
-}
-
-TEST(DseDeterminism, MinimizeTotalIdenticalAcrossThreadCountsOnSdfModel) {
-  // Drive minimize_total directly on the two-buffer SDF stream model with
-  // a chunked consumer (the non-monotone Fig. 8 shape).
-  sharing::SdfModelOptions opt;
-  opt.eta = 6;
-  opt.shared_duration = 17;
-  opt.producer_period = 3;
-  opt.consumer_period = 12;
-  opt.consumer_chunk = 4;
-  opt.alpha0 = 40;
-  opt.alpha3 = 40;
-  sharing::SdfStreamModel model = sharing::build_sdf_stream_model(opt);
-  const Rational target(1, 12);
-  BufferSizingOptions bopt;
-  bopt.max_capacity = 40;
-
-  const auto minimize = [&](int jobs) {
-    bopt.jobs = jobs;
-    return DseEngine(model.graph, {model.input_buffer, model.output_buffer},
-                     model.consumer, bopt)
-        .minimize_total(target);
-  };
-  const MultiBufferResult r1 = minimize(1);
-  for (const int jobs : {2, 4, 8}) {
-    const MultiBufferResult rn = minimize(jobs);
-    EXPECT_EQ(rn.total, r1.total) << "jobs=" << jobs;
-    EXPECT_EQ(rn.capacities, r1.capacities) << "jobs=" << jobs;
-  }
-}
-
-TEST(DseDeterminism, ParetoSweepIdenticalAcrossThreadCounts) {
-  ProducerConsumer pc = make_pc(2, 3, 2, 3, 3);
-  BufferSizingOptions o1;
-  const std::vector<ParetoPoint> p1 = pareto_buffer_sweep(pc.g, pc.ch, pc.b, o1);
-  BufferSizingOptions o4;
-  o4.jobs = 4;
-  const std::vector<ParetoPoint> p4 = pareto_buffer_sweep(pc.g, pc.ch, pc.b, o4);
-  ASSERT_EQ(p1.size(), p4.size());
-  for (std::size_t i = 0; i < p1.size(); ++i) {
-    EXPECT_EQ(p1[i].capacity, p4[i].capacity);
-    EXPECT_EQ(p1[i].throughput, p4[i].throughput);
-  }
+  EXPECT_LT(engine.stats().simulations, fresh_stats.simulations);
+  EXPECT_GT(engine.stats().pruned(), fresh_stats.pruned());
 }
 
 // ------------------------------------------------------------ executor path

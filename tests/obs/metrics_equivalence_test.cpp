@@ -105,8 +105,8 @@ TEST(MetricsEquivalence, PalDecoderSnapshotAcrossSteppers) {
 
 TEST(MetricsEquivalence, CampaignSnapshotsIndependentOfJobs) {
   // Each campaign point owns a private registry, so the per-point snapshot
-  // must be byte-identical whether the points run sequentially or on a
-  // thread pool.
+  // must be byte-identical whether the points run sequentially or on three
+  // threads.
   app::FaultCampaignConfig cfg;
   cfg.pal.input_samples = 1 << 11;
   cfg.jobs = 1;

@@ -228,7 +228,7 @@ OptimalBlockResult exhaustive_optimal_blocks(
       for (std::size_t s = 0; s < n; ++s) {
         const auto size = [&] {
           return min_buffers_for_stream(sys, s, etas, periods[s], chunks[s],
-                                        1, stats);
+                                        stats);
         };
         if (once) {
           const auto [it, fresh] =
@@ -331,27 +331,37 @@ TEST(OptimalBlocks, ReuseRunsFewerSimulations) {
   df::DseStats reused;
   df::DseStats exhaustive;
   const OptimalBlockResult got = optimal_blocks_for_buffers(
-      q.sys, q.periods, q.slack, q.chunks, 1, &reused);
+      q.sys, q.periods, q.slack, q.chunks, &reused);
   const OptimalBlockResult want =
       exhaustive_optimal_blocks(q.sys, q.periods, q.slack, q.chunks, &exhaustive);
   expect_same_result(got, want);
   EXPECT_LT(reused.simulations, exhaustive.simulations);
 }
 
-// The shared gamma_hat frontier is filled by parallel waves with jobs > 1,
-// in completion order; the answers must not depend on it.
-TEST(OptimalBlocks, SameAnswerForEveryJobCount) {
+// The signatures with the retired DSE worker count accept only jobs = 1.
+TEST(OptimalBlocks, RetiredJobCountMustBeOne) {
   SplitMix64 rng(0x5EF7);
-  for (int trial = 0; trial < 4; ++trial) {
-    const SweepQuery q =
-        random_sweep_query(rng, 2 + static_cast<std::size_t>(trial % 3));
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    const OptimalBlockResult serial =
-        optimal_blocks_for_buffers(q.sys, q.periods, q.slack, q.chunks, 1);
-    expect_same_result(
-        optimal_blocks_for_buffers(q.sys, q.periods, q.slack, q.chunks, 3),
-        serial);
-  }
+  const SweepQuery q = random_sweep_query(rng, 2);
+  const BlockSizeResult base = solve_block_sizes_fixpoint(q.sys);
+  ASSERT_TRUE(base.feasible);
+  df::DseStats one;
+  df::DseStats plain;
+  expect_same_result(
+      optimal_blocks_for_buffers(q.sys, q.periods, q.slack, q.chunks, 1, &one),
+      optimal_blocks_for_buffers(q.sys, q.periods, q.slack, q.chunks, &plain));
+  EXPECT_EQ(one.simulations, plain.simulations);
+  EXPECT_THROW((void)optimal_blocks_for_buffers(q.sys, q.periods, q.slack,
+                                                q.chunks, 2, nullptr),
+               precondition_error);
+  EXPECT_EQ(min_buffers_for_stream(q.sys, 0, base.eta, q.periods[0],
+                                   q.chunks[0], 1, nullptr)
+                .total(),
+            min_buffers_for_stream(q.sys, 0, base.eta, q.periods[0],
+                                   q.chunks[0])
+                .total());
+  EXPECT_THROW((void)min_buffers_for_stream(q.sys, 0, base.eta, q.periods[0],
+                                            q.chunks[0], 2, nullptr),
+               precondition_error);
 }
 
 // Sizing each (s, eta_s, gamma_hat) on its own engine repeats the searches
@@ -364,7 +374,7 @@ TEST(OptimalBlocks, GammaFrontierRunsFewerSimulations) {
   df::DseStats one_shot;
   TripleSizings once;
   const OptimalBlockResult got = optimal_blocks_for_buffers(
-      q.sys, q.periods, q.slack, q.chunks, 1, &shared);
+      q.sys, q.periods, q.slack, q.chunks, &shared);
   const OptimalBlockResult want = exhaustive_optimal_blocks(
       q.sys, q.periods, q.slack, q.chunks, &one_shot, nullptr, &once);
   expect_same_result(got, want);

@@ -100,74 +100,6 @@ TEST(ProcessorTile, HintedTaskWithoutWakeFifosIsRejected) {
   EXPECT_EQ(pt.invocations(0), 1);
 }
 
-TEST(PriorityBudget, HighPriorityDominatesWhileItHoldsBudget) {
-  System sys(2);
-  auto& pt = sys.add<ProcessorTile>("pt", /*replenish=*/100,
-                                    SchedulerPolicy::kPriorityBudget);
-  int low = 0;
-  int high = 0;
-  pt.add_task(Task{"low", [&](Cycle) -> Cycle {
-                     ++low;
-                     return 10;
-                   },
-                   /*budget=*/100, /*priority=*/1});
-  pt.add_task(Task{"high", [&](Cycle) -> Cycle {
-                     ++high;
-                     return 10;
-                   },
-                   /*budget=*/40, /*priority=*/9});
-  sys.run(1000);
-  // Per 100-cycle period: high runs its full 40-cycle budget (4 runs),
-  // low fills the remaining 60 (6 runs).
-  EXPECT_NEAR(high, 40, 3);
-  EXPECT_NEAR(low, 60, 3);
-}
-
-TEST(PriorityBudget, BudgetExhaustionYieldsToLowerPriority) {
-  // Even the highest priority cannot starve others beyond its budget —
-  // the temporal-isolation property the dataflow analysis needs.
-  System sys(2);
-  auto& pt = sys.add<ProcessorTile>("pt", 100,
-                                    SchedulerPolicy::kPriorityBudget);
-  int greedy = 0;
-  int meek = 0;
-  pt.add_task(Task{"greedy", [&](Cycle) -> Cycle {
-                     ++greedy;
-                     return 5;
-                   },
-                   /*budget=*/20, /*priority=*/100});
-  pt.add_task(Task{"meek", [&](Cycle) -> Cycle {
-                     ++meek;
-                     return 5;
-                   },
-                   /*budget=*/80, /*priority=*/0});
-  sys.run(1000);
-  EXPECT_NEAR(greedy, 4 * 10, 2);   // 20/5 runs per period
-  EXPECT_NEAR(meek, 16 * 10, 3);    // 80/5 runs per period
-}
-
-TEST(PriorityBudget, EqualPriorityFallsBackToRegistrationOrder) {
-  System sys(2);
-  auto& pt = sys.add<ProcessorTile>("pt", 100,
-                                    SchedulerPolicy::kPriorityBudget);
-  int first = 0;
-  int second = 0;
-  pt.add_task(Task{"first", [&](Cycle) -> Cycle {
-                     ++first;
-                     return 10;
-                   },
-                   /*budget=*/50, /*priority=*/5});
-  pt.add_task(Task{"second", [&](Cycle) -> Cycle {
-                     ++second;
-                     return 10;
-                   },
-                   /*budget=*/50, /*priority=*/5});
-  sys.run(500);
-  // Both get their 50-cycle budgets per period.
-  EXPECT_NEAR(first, 25, 2);
-  EXPECT_NEAR(second, 25, 2);
-}
-
 TEST(SourceTile, EmitsAtFixedRateAndCountsDrops) {
   System sys(2);
   CFifo& f = sys.add_fifo("f", 4, 0, 0);
