@@ -1,12 +1,15 @@
 // Tests for the design-space exploration engine (dataflow/dse.hpp):
 // memo-cache hit accounting, monotone-pruning correctness against the
-// brute-force staircase, and re-timing against fresh engines.
+// brute-force staircase, one engine answering a mix of queries and targets,
+// and re-timing against fresh engines.
 #include "dataflow/dse.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <numeric>
+#include <vector>
 
 #include "../support/throughput.hpp"
 #include "common/rng.hpp"
@@ -194,6 +197,61 @@ TEST(DseEngine, MinimizeMatchesBruteForceOnSmallGraphs) {
     EXPECT_EQ(res.total, ref.total) << "trial=" << trial;
     EXPECT_EQ(res.capacities, ref.capacities) << "trial=" << trial;
   }
+}
+
+// One engine reuses its snapshot, executor, memo and frontier across every
+// query; switching queries and targets must leave each answer as a fresh
+// engine gives it, on the Fig. 7 model with a chunked consumer.
+TEST(DseEngine, OneEngineAnswersMixedQueriesLikeFreshEngines) {
+  sharing::SdfModelOptions opt;
+  opt.eta = 6;
+  opt.producer_period = 3;
+  opt.consumer_period = 12;
+  opt.consumer_chunk = 4;
+  opt.alpha0 = 40;
+  opt.alpha3 = 40;
+  opt.shared_duration = 14;
+  const sharing::SdfStreamModel model = sharing::build_sdf_stream_model(opt);
+  const std::vector<Channel> channels = {model.input_buffer,
+                                         model.output_buffer};
+  BufferSizingOptions bopt;
+  bopt.max_capacity = 40;
+  const auto fresh = [&] {
+    return std::make_unique<DseEngine>(model.graph, channels, model.consumer,
+                                       bopt);
+  };
+  DseEngine engine(model.graph, channels, model.consumer, bopt);
+
+  const Rational fast(1, 12);
+  const Rational slow(1, 24);
+  const MultiBufferResult first = engine.minimize_total(fast);
+  EXPECT_EQ(first.capacities, fresh()->minimize_total(fast).capacities);
+
+  const std::vector<ParetoPoint> sweep = engine.pareto_sweep(1);
+  const std::vector<ParetoPoint> fresh_sweep = fresh()->pareto_sweep(1);
+  ASSERT_EQ(sweep.size(), fresh_sweep.size());
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    EXPECT_EQ(sweep[i].capacity, fresh_sweep[i].capacity) << "i=" << i;
+    EXPECT_EQ(sweep[i].throughput, fresh_sweep[i].throughput) << "i=" << i;
+  }
+
+  const MultiBufferResult relaxed = engine.minimize_total(slow);
+  EXPECT_EQ(relaxed.capacities, fresh()->minimize_total(slow).capacities);
+  EXPECT_LE(relaxed.total, first.total);
+
+  // Back to the first target: the frontier built for `slow` must not
+  // answer for it.
+  const std::vector<std::int64_t> caps = {40, first.capacities[1]};
+  EXPECT_EQ(engine.min_capacity_for(0, caps, fast),
+            fresh()->min_capacity_for(0, caps, fast));
+  for (std::int64_t c = 1; c <= 12; ++c) {
+    const std::vector<std::int64_t> probe = {c, first.capacities[1]};
+    EXPECT_EQ(engine.feasible(probe, fast), fresh()->feasible(probe, fast))
+        << "c=" << c;
+    EXPECT_EQ(engine.throughput(probe), fresh()->throughput(probe))
+        << "c=" << c;
+  }
+  EXPECT_GT(engine.stats().cache_hits, 0);
 }
 
 // ---------------------------------------------------------------- re-timing

@@ -364,6 +364,25 @@ TEST(OptimalBlocks, RetiredJobCountMustBeOne) {
                precondition_error);
 }
 
+// The DSE counters are the work units the sizing benchmark reports as
+// host-independent: two runs of one search count the same work.
+TEST(OptimalBlocks, CountersRepeatRunToRun) {
+  SplitMix64 rng(0x5EF9);
+  const SweepQuery q = random_sweep_query(rng, 3);
+  df::DseStats first;
+  df::DseStats second;
+  expect_same_result(
+      optimal_blocks_for_buffers(q.sys, q.periods, q.slack, q.chunks, &first),
+      optimal_blocks_for_buffers(q.sys, q.periods, q.slack, q.chunks,
+                                 &second));
+  EXPECT_GT(first.simulations, 0);
+  EXPECT_EQ(first.simulations, second.simulations);
+  EXPECT_EQ(first.cache_hits, second.cache_hits);
+  EXPECT_EQ(first.pruned_infeasible, second.pruned_infeasible);
+  EXPECT_EQ(first.pruned_feasible, second.pruned_feasible);
+  EXPECT_EQ(first.replayed_iterations, second.replayed_iterations);
+}
+
 // Sizing each (s, eta_s, gamma_hat) on its own engine repeats the searches
 // a shared gamma_hat frontier answers: one engine per (s, eta_s) reaches the
 // same answer with fewer simulations.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dataflow/buffer_sizing.hpp"
+
 namespace acc::sharing {
 namespace {
 
@@ -74,6 +76,17 @@ TEST(NonMonotone, InfeasibleEtasFlagged) {
   // Very small blocks cannot sustain the rate (reconfiguration dominates).
   const auto pts = chunked_consumer_buffer_sweep(10, 1, 2, 8, 8, 12);
   EXPECT_EQ(pts.front().min_capacity, -1);
+}
+
+TEST(NonMonotone, InfeasibleEtasCountTheirSimulations) {
+  // The capacity search of an infeasible eta ends in a throw after
+  // simulating; the sweep's stats count those simulations all the same.
+  df::DseStats stats;
+  const auto pts = chunked_consumer_buffer_sweep(10, 1, 2, 8, 8, 8, &stats);
+  ASSERT_EQ(pts.size(), 1u);
+  ASSERT_EQ(pts[0].min_capacity, -1);
+  EXPECT_GT(stats.simulations, 0);
+  EXPECT_EQ(stats.simulations, stats.cache_misses);
 }
 
 TEST(NonMonotone, GatewaySweepFeasibilityBoundary) {

@@ -59,6 +59,30 @@ TEST(ProcessorTile, RoundRobinSharesBetweenTasks) {
   EXPECT_GT(a, 50);
 }
 
+TEST(ProcessorTile, UnequalBudgetsEachGetTheirShare) {
+  // Two always-ready tasks: the one registered first exhausts its small
+  // budget and is suspended until the next replenishment, so the other
+  // gets its whole budget every period — the temporal isolation the
+  // dataflow analysis of software tasks relies on.
+  System sys(2);
+  auto& pt = sys.add<ProcessorTile>("pt", 100);
+  int greedy = 0;
+  int meek = 0;
+  pt.add_task(Task{"greedy", [&](Cycle) -> Cycle {
+                     ++greedy;
+                     return 5;
+                   },
+                   /*budget=*/20});
+  pt.add_task(Task{"meek", [&](Cycle) -> Cycle {
+                     ++meek;
+                     return 5;
+                   },
+                   /*budget=*/80});
+  sys.run(1000);
+  EXPECT_NEAR(greedy, 4 * 10, 2);  // 20/5 runs per period
+  EXPECT_NEAR(meek, 16 * 10, 3);   // 80/5 runs per period
+}
+
 TEST(ProcessorTile, BlockedTaskYieldsToOthers) {
   System sys(2);
   auto& pt = sys.add<ProcessorTile>("pt", 100);

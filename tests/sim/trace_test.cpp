@@ -206,6 +206,29 @@ TEST(ChromeTrace, ReconfigWindowBecomesDurationEvent) {
   EXPECT_TRUE(found);
 }
 
+TEST(ChromeTrace, ModeChangeWindowBecomesDurationEvent) {
+  // A mode change spans the reconfigurations inside it; each pair becomes
+  // its own bar on its source's track.
+  TraceLog log;
+  log.record(100, "ctrl", "modechange.start", 2);
+  log.record(130, "entry", "reconfig.start", 2);
+  log.record(150, "entry", "reconfig.done", 2);
+  log.record(170, "ctrl", "modechange.done", 2);
+  const json::Value doc = obs::chrome_trace_doc(log);
+  std::map<std::string, std::pair<std::int64_t, std::int64_t>> bars;
+  for (const json::Value& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() != "X") continue;
+    bars[e.at("name").as_string()] = {e.at("ts").as_int(),
+                                      e.at("dur").as_int()};
+    EXPECT_EQ(e.at("args").at("stream").as_int(), 2);
+  }
+  ASSERT_EQ(bars.size(), 2u);
+  EXPECT_EQ(bars.at("modechange"), std::make_pair(std::int64_t{100},
+                                                  std::int64_t{70}));
+  EXPECT_EQ(bars.at("reconfig"), std::make_pair(std::int64_t{130},
+                                                std::int64_t{20}));
+}
+
 TEST(ChromeTrace, CountersTrackBlocksAndFaults) {
   const json::Value doc = obs::chrome_trace_doc(sample_log());
   std::int64_t blocks = 0;
